@@ -199,7 +199,7 @@ def _cmd_correspond(args) -> int:
         prop = row["property"] or "(none)"
         lines.append(f"{a} vs {prop}: axiom {row['axiom_count']}, "
                      f"property {row['property_count']}, "
-                     f"disagreements {len(row['disagreements'])}")
+                     f"disagreements {row['disagreement_count']}")
     lines.append(f"total disagreements: {report['disagreement_count']}")
     if report["strictness_witness"] is not None:
         lines.append("strictness witness found (update axiom without revision axiom)")

@@ -1,4 +1,4 @@
-"""Finite belief-selection frames.
+"""Finite belief-selection frames and the update-row predicates.
 
 A frame has states 0..n-1, a serial belief map (each state believes a
 non-empty set of states) and a total selection function taking a state
@@ -7,10 +7,16 @@ states; no constraint beyond totality is placed on the selection, so a
 selected event may be empty.
 
 The lifted selection U(s, E) is the union of f(s', E) over the states s'
-believed at s. The seven checkable frame conditions are stated in terms
-of U and the belief map; ``check_property`` evaluates one of them on a
-frame and reports the first counterexample in a fixed scan order (states
-ascending, then event masks ascending, pairs in lexicographic order).
+believed at s; ``Frame.update_row`` gives U(s, ·) as one mask-indexed row.
+Every update condition the package checks is written here once, as a
+predicate on such a row and its belief event: success, unsurprising,
+consistency, conjunction (◇5), reciprocity (◇6w), disjunction (◇7s),
+expansion (◇9s) and revision's vacuity (*4). The layers above only pick
+the rows: ``check_property`` runs a predicate on every state's row of a
+frame, ``model.check_km_axiom`` on one state's row, and ``worlds`` on
+each world's row and on each lifted belief event's row. Counterexamples
+come in a fixed scan order (rows ascending, then event masks ascending,
+pairs in lexicographic order).
 """
 
 from __future__ import annotations
@@ -18,11 +24,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import or_
 
 __all__ = [
     "Frame", "FrameFormatError", "PROPERTY_IDS", "bits", "mask_from_indices",
     "indices_from_mask", "check_property", "frame_count", "enumerate_frames",
-    "sample_frame", "frame_to_json", "frame_from_json",
+    "sample_frame", "frame_to_json", "frame_from_json", "success",
+    "unsurprising", "consistency", "conjunction", "reciprocity", "disjunction",
+    "expansion", "vacuity",
 ]
 
 
@@ -46,6 +55,8 @@ def indices_from_mask(mask: int) -> list[int]:
 def mask_from_indices(indices, n: int) -> int:
     mask = 0
     for i in indices:
+        if type(i) is not int:  # bool is an int subclass but no index
+            raise FrameFormatError(f"state index {i!r} is not an integer")
         if not 0 <= i < n:
             raise FrameFormatError(f"state index {i} out of range for {n} states")
         if mask >> i & 1:
@@ -99,111 +110,141 @@ class Frame:
             out |= self.selection[sp][event - 1]
         return out
 
+    def update_row(self, s: int) -> tuple[int, ...]:
+        """U(s, ·) indexed by event mask: entry e is U(s, E) for every
+        non-empty E, entry 0 is 0."""
+        believed = bits(self.belief[s])
+        row = self.selection[next(believed)]
+        for sp in believed:
+            row = tuple(map(or_, row, self.selection[sp]))
+        return (0, *row)
 
-# ---------------------------------------------------------------------------
-# frame conditions
 
 def _scan_events(n: int):
     return range(1, 1 << n)
 
 
-def _p_star_2_diamond_1(fr: Frame):
-    for s in range(fr.n):
-        for e in _scan_events(fr.n):
-            if fr.update(s, e) & ~e:
-                return False, (s, e)
-    return True, None
+# ---------------------------------------------------------------------------
+# update-row predicates
+#
+# ``r[e]`` is the result of updating by the non-empty event mask e (e in
+# 1..full; r[0] is not read), ``b`` is the row's belief event and ``full``
+# the universe mask. Each predicate returns the first violating (E,) or
+# (E, F) in ascending mask order, E before F, or None.
+
+def success(r, b: int, full: int):
+    """The result lies inside the input: r[E] <= E."""
+    for e in range(1, full + 1):
+        if r[e] & ~e:
+            return (e,)
+    return None
 
 
-def _p_diamond_2(fr: Frame):
-    for s in range(fr.n):
-        b = fr.belief[s]
-        for e in _scan_events(fr.n):
-            if b & ~e == 0 and fr.update(s, e) != b:
-                return False, (s, e)
-    return True, None
+def unsurprising(r, b: int, full: int):
+    """An input already believed leaves the beliefs unchanged."""
+    for e in range(1, full + 1):
+        if b & ~e == 0 and r[e] != b:
+            return (e,)
+    return None
 
 
-def _p_star_5b_diamond_3b(fr: Frame):
-    for s in range(fr.n):
-        for e in _scan_events(fr.n):
-            if all(fr.selection[sp][e - 1] == 0 for sp in bits(fr.belief[s])):
-                return False, (s, e)
-    return True, None
+def consistency(r, b: int, full: int):
+    """A non-empty input never yields the empty event."""
+    for e in range(1, full + 1):
+        if r[e] == 0:
+            return (e,)
+    return None
 
 
-def _p_star_7_diamond_5(fr: Frame):
-    for s in range(fr.n):
-        for e in _scan_events(fr.n):
-            ue = fr.update(s, e)
-            for f in _scan_events(fr.n):
-                if e & f == 0:
-                    continue
-                if ue & f & ~fr.update(s, e & f):
-                    return False, (s, e, f)
-    return True, None
+def conjunction(r, b: int, full: int):
+    """When E&F is non-empty, r[E]&F <= r[E&F] (◇5)."""
+    events = range(1, full + 1)
+    for e in events:
+        re = r[e]
+        for f in events:
+            if e & f and re & f & ~r[e & f]:
+                return (e, f)
+    return None
 
 
-def _p_diamond_6w(fr: Frame):
-    for s in range(fr.n):
-        for e in _scan_events(fr.n):
-            ue = fr.update(s, e)
-            for f in _scan_events(fr.n):
-                if e & f == 0:
-                    continue
-                uf = fr.update(s, f)
-                if ue & ~f == 0 and uf & ~e == 0 and ue != uf:
-                    return False, (s, e, f)
-    return True, None
+def reciprocity(r, b: int, full: int):
+    """When E&F is non-empty, r[E] <= F and r[F] <= E force r[E] == r[F] (◇6w)."""
+    events = range(1, full + 1)
+    for e in events:
+        re = r[e]
+        for f in events:
+            if e & f and re & ~f == 0 and r[f] & ~e == 0 and re != r[f]:
+                return (e, f)
+    return None
 
 
-def _p_diamond_7s(fr: Frame):
-    for s in range(fr.n):
-        for e in _scan_events(fr.n):
-            ue = fr.update(s, e)
-            for f in _scan_events(fr.n):
-                if fr.update(s, e | f) & ~(ue | fr.update(s, f)):
-                    return False, (s, e, f)
-    return True, None
+def disjunction(r, b: int, full: int):
+    """The union bound r[E|F] <= r[E] | r[F] (◇7s)."""
+    events = range(1, full + 1)
+    for e in events:
+        re = r[e]
+        for f in events:
+            if r[e | f] & ~(re | r[f]):
+                return (e, f)
+    return None
 
 
-def _p_star_4(fr: Frame):
-    full = fr.full
-    for s in range(fr.n):
-        b = fr.belief[s]
-        for e in range(full + 1):
-            if b & e == 0:
-                continue
-            ue = fr.update(s, e)
-            for f in range(full + 1):
-                if b & ~((full & ~e) | f):
-                    continue
-                if ue & ~f:
-                    return False, (s, e, f)
-    return True, None
+def expansion(r, b: int, full: int):
+    """Conditional expansion: when E&F and r[E]&F are non-empty,
+    r[E&F] <= r[E]&F (◇9s)."""
+    events = range(1, full + 1)
+    for e in events:
+        re = r[e]
+        for f in events:
+            ef = e & f
+            if ef:
+                bound = re & f
+                if bound and r[ef] & ~bound:
+                    return (e, f)
+    return None
 
 
-_CHECKERS = {
-    "P_star_2_diamond_1": _p_star_2_diamond_1,
-    "P_diamond_2": _p_diamond_2,
-    "P_star_5b_diamond_3b": _p_star_5b_diamond_3b,
-    "P_star_7_diamond_5": _p_star_7_diamond_5,
-    "P_diamond_6w": _p_diamond_6w,
-    "P_diamond_7s": _p_diamond_7s,
-    "P_star_4": _p_star_4,
+def vacuity(r, b: int, full: int):
+    """Revision's vacuity bound (*4): when b&E is non-empty, r[E] lies
+    inside every F containing b&E; F ranges over all masks, empty included."""
+    for e in range(1, full + 1):
+        be = b & e
+        if be == 0:
+            continue
+        re = r[e]
+        for f in range(full + 1):
+            if be & ~f == 0 and re & ~f:
+                return (e, f)
+    return None
+
+
+_CONDITIONS = {
+    "P_star_2_diamond_1": success,
+    "P_diamond_2": unsurprising,
+    "P_star_5b_diamond_3b": consistency,
+    "P_star_7_diamond_5": conjunction,
+    "P_diamond_6w": reciprocity,
+    "P_diamond_7s": disjunction,
+    "P_star_4": vacuity,
 }
 
-PROPERTY_IDS = tuple(_CHECKERS)
+PROPERTY_IDS = tuple(_CONDITIONS)
 
 
 def check_property(fr: Frame, prop_id: str):
-    """Returns (holds, counterexample). The counterexample is (s, E) or
-    (s, E, F) with events as masks, the first one in scan order."""
+    """Returns (holds, counterexample): the property's row predicate on
+    every state's row U(s, ·). The counterexample is (s, E) or (s, E, F)
+    with events as masks, the first one in scan order."""
     try:
-        checker = _CHECKERS[prop_id]
+        condition = _CONDITIONS[prop_id]
     except KeyError:
         raise ValueError(f"unknown frame property {prop_id!r}") from None
-    return checker(fr)
+    full = fr.full
+    for s, b in enumerate(fr.belief):
+        cex = condition(fr.update_row(s), b, full)
+        if cex is not None:
+            return False, (s, *cex)
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +301,7 @@ def frame_from_json(data) -> Frame:
         entries = data["selection"]
     except (KeyError, TypeError) as exc:
         raise FrameFormatError(f"missing frame field: {exc}") from None
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise FrameFormatError("states must be a positive integer")
     if not isinstance(belief_lists, list) or len(belief_lists) != n:
         raise FrameFormatError("belief must list one set per state")
@@ -274,7 +315,7 @@ def frame_from_json(data) -> Frame:
             s, event, value = entry["s"], entry["event"], entry["value"]
         except (KeyError, TypeError):
             raise FrameFormatError(f"malformed selection entry: {entry!r}") from None
-        if not isinstance(s, int) or not 0 <= s < n:
+        if type(s) is not int or not 0 <= s < n:
             raise FrameFormatError(f"selection entry state {s!r} out of range")
         e = mask_from_indices(event, n)
         if e == 0:
@@ -282,10 +323,11 @@ def frame_from_json(data) -> Frame:
         if (s, e) in table:
             raise FrameFormatError(f"duplicate selection entry for s={s}, event={event}")
         table[s, e] = mask_from_indices(value, n)
-    missing = [(s, e) for s in range(n) for e in _scan_events(n) if (s, e) not in table]
-    if missing:
-        s, e = missing[0]
-        raise FrameFormatError(
-            f"selection is not total: no entry for s={s}, event={indices_from_mask(e)}")
+    # the first missing pair lies within the first len(table) + 1 of the scan
+    for s in range(n):
+        for e in _scan_events(n):
+            if (s, e) not in table:
+                raise FrameFormatError(
+                    f"selection is not total: no entry for s={s}, event={indices_from_mask(e)}")
     selection = tuple(tuple(table[s, e] for e in _scan_events(n)) for s in range(n))
     return Frame(n, belief, selection)

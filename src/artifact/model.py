@@ -10,7 +10,9 @@ event lies inside den(a).
 The belief-change reading: psi belongs to the changed belief set at s
 after input phi iff update_event(m, s, den(phi)) is a subset of den(psi).
 ``check_km_axiom`` decides the update postulates with formulas replaced
-by their denotations; ``km_formula_instances`` produces the matching
+by their denotations, running the row predicates of ``frame`` on the one
+state's row U(s, ·), the same predicates the frame properties run on
+every state's row; ``km_formula_instances`` produces the matching
 formula-level statements over characteristic formulas, so the two layers
 can be played against each other.
 """
@@ -35,7 +37,9 @@ from .formula import (
     Or,
     is_boolean,
 )
-from .frame import Frame, FrameFormatError, bits, frame_from_json, frame_to_json, indices_from_mask, mask_from_indices
+from .frame import (Frame, FrameFormatError, bits, conjunction, consistency, disjunction,
+                    frame_from_json, frame_to_json, indices_from_mask, mask_from_indices,
+                    reciprocity, success, unsurprising)
 
 __all__ = [
     "Model", "BeliefState", "UnvaluedAtomError", "NonSeparatingValuationError",
@@ -232,80 +236,44 @@ def compile_truth(f: Formula, valuation: Mapping[str, int], n: int) -> Callable[
 # ---------------------------------------------------------------------------
 # event-level update postulates
 
-KM_AXIOM_IDS = (
-    "K_diamond_0",
-    "K_diamond_1",
-    "K_diamond_2",
-    "K_diamond_3a",
-    "K_diamond_3b",
-    "K_diamond_4",
-    "K_diamond_5",
-    "K_diamond_6w",
-    "K_diamond_7s",
-)
+# None marks the postulates that hold on every model: the changed belief
+# set is deductively closed, contradiction-updated and
+# denotation-determined by construction.
+_KM_CONDITIONS = {
+    "K_diamond_0": None,
+    "K_diamond_1": success,
+    "K_diamond_2": unsurprising,
+    "K_diamond_3a": None,
+    "K_diamond_3b": consistency,
+    "K_diamond_4": None,
+    "K_diamond_5": conjunction,
+    "K_diamond_6w": reciprocity,
+    "K_diamond_7s": disjunction,
+}
 
-_VACUOUS = frozenset({"K_diamond_0", "K_diamond_3a", "K_diamond_4"})
+KM_AXIOM_IDS = tuple(_KM_CONDITIONS)
 
 
 def check_km_axiom(m: Model, s: int, a: str):
     """Decide an update postulate at state s with formulas replaced by
     their denotations, quantifying over non-empty events (pairs where the
-    postulate mentions two inputs). Returns (holds, counterexample) where
-    the counterexample is (E,) or (E, F).
+    postulate mentions two inputs): the postulate's row predicate on
+    U(s, ·). Returns (holds, counterexample) where the counterexample is
+    (E,) or (E, F).
 
-    K_diamond_0, K_diamond_3a and K_diamond_4 hold on every model: the
-    changed belief set is deductively closed, contradiction-updated and
-    denotation-determined by construction.
+    K_diamond_0, K_diamond_3a and K_diamond_4 hold on every model.
     """
-    if a not in KM_AXIOM_IDS:
-        raise ValueError(f"unknown update postulate {a!r}")
+    try:
+        condition = _KM_CONDITIONS[a]
+    except KeyError:
+        raise ValueError(f"unknown update postulate {a!r}") from None
     fr = m.frame
     if not 0 <= s < fr.n:
         raise ValueError(f"state {s} out of range")
-    if a in _VACUOUS:
+    if condition is None:
         return True, None
-    full = fr.full
-    events = range(1, full + 1)
-    if a == "K_diamond_1":
-        for e in events:
-            if fr.update(s, e) & ~e:
-                return False, (e,)
-        return True, None
-    if a == "K_diamond_2":
-        b = fr.belief[s]
-        for e in events:
-            if b & ~e == 0 and fr.update(s, e) != b:
-                return False, (e,)
-        return True, None
-    if a == "K_diamond_3b":
-        for e in events:
-            if fr.update(s, e) == 0:
-                return False, (e,)
-        return True, None
-    if a == "K_diamond_5":
-        for e in events:
-            ue = fr.update(s, e)
-            for f in events:
-                if e & f and ue & f & ~fr.update(s, e & f):
-                    return False, (e, f)
-        return True, None
-    if a == "K_diamond_6w":
-        for e in events:
-            ue = fr.update(s, e)
-            for f in events:
-                if e & f == 0:
-                    continue
-                uf = fr.update(s, f)
-                if ue & ~f == 0 and uf & ~e == 0 and ue != uf:
-                    return False, (e, f)
-        return True, None
-    # K_diamond_7s
-    for e in events:
-        ue = fr.update(s, e)
-        for f in events:
-            if fr.update(s, e | f) & ~(ue | fr.update(s, f)):
-                return False, (e, f)
-    return True, None
+    cex = condition(fr.update_row(s), fr.belief[s], fr.full)
+    return cex is None, cex
 
 
 # ---------------------------------------------------------------------------

@@ -709,6 +709,10 @@ def verify_containment(excluded_axioms: frozenset[str] = frozenset(),
             items[a] = {"route": "derived", "ok": False, "lines": None,
                         "reason": f"no revision-logic derivation registered for {a}"}
             continue
+        if script.target != REGISTRY[a].schema.template:
+            items[a] = {"route": "derived", "ok": False, "lines": len(script.lines),
+                        "reason": f"script {a} does not derive the schema {a}"}
+            continue
         verdict = registry.check(a, excluded_axioms)
         reason = None
         if not verdict.ok:

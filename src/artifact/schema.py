@@ -457,9 +457,10 @@ def run_correspondence_suite(n: int, mode: str = "exhaustive", count: int = 10_0
 
     Exhaustive mode enumerates all frames (n <= 2); sampled mode draws
     ``count`` seeded frames. The report carries per-pair satisfaction
-    counts, any disagreeing frames, and a strictness witness: the first
-    frame validating A_diamond_2 but not A_star_4, separating update
-    from revision.
+    counts, the exact number of disagreeing frames with the first
+    ``_WITNESS_CAP`` of them as witnesses, and a strictness witness: the
+    first frame validating A_diamond_2 but not A_star_4, separating
+    update from revision.
     """
     if mode == "exhaustive":
         frames = enumerate_frames(n)
@@ -471,7 +472,8 @@ def run_correspondence_suite(n: int, mode: str = "exhaustive", count: int = 10_0
 
     checkers = {p.axiom: _compiled_checker(p.axiom) for p in pairs}
     stats = {p.axiom: {"property": p.property, "property_count": 0,
-                       "axiom_count": 0, "disagreements": []} for p in pairs}
+                       "axiom_count": 0, "disagreement_count": 0,
+                       "disagreements": []} for p in pairs}
     witness = None
     total = 0
     for fr in frames:
@@ -484,13 +486,15 @@ def run_correspondence_suite(n: int, mode: str = "exhaustive", count: int = 10_0
             row = stats[p.axiom]
             row["property_count"] += prop
             row["axiom_count"] += valid
-            if prop != valid and len(row["disagreements"]) < _WITNESS_CAP:
-                row["disagreements"].append(frame_to_json(fr))
+            if prop != valid:
+                row["disagreement_count"] += 1
+                if len(row["disagreements"]) < _WITNESS_CAP:
+                    row["disagreements"].append(frame_to_json(fr))
         if (witness is None and valid_here.get("A_diamond_2")
                 and valid_here.get("A_star_4") is False):
             witness = frame_to_json(fr)
 
-    disagreements = sum(len(r["disagreements"]) for r in stats.values())
+    disagreements = sum(r["disagreement_count"] for r in stats.values())
     return {
         "states": n,
         "mode": mode if mode == "exhaustive" else {"sampled": {"count": count, "seed": seed}},

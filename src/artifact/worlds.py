@@ -10,9 +10,12 @@ theory by a proposition intersects its event with that proposition.
 A family assigns each world w a total update u(w, E) on non-empty
 events. Lifting to an arbitrary belief event K intersects the updated
 theories of K's worlds, which at event level is the union of their
-result events. The two lemma checkers audit the per-world hypothesis
-first and only then sweep the lifted conclusion, reporting the first
-violating (K, E, F) triple in ascending mask order.
+result events. The per-world audits and the lifted lemmas run the row
+predicates of ``frame`` (disjunction for the union bound, expansion for
+conditional expansion) on rows picked here: each world's row u(w, ·)
+for the hypothesis, then each belief event's lifted row lift(K, ·) for
+the conclusion. Each lemma checker audits the hypothesis first and
+reports the first violating (K, E, F) triple in ascending mask order.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .frame import bits, indices_from_mask, mask_from_indices
+from .frame import bits, disjunction, expansion, indices_from_mask, mask_from_indices
 
 __all__ = [
     "FamilyFormatError", "WorldSpace", "world_space", "WorldUpdateFamily",
@@ -118,39 +121,32 @@ def theory_of(space: WorldSpace, belief: int) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# per-world hypothesis audits
+# per-world hypothesis audits and lifted lemmas
+
+def _first_violation(condition, rows, full: int):
+    """First (index, E, F) over (index, belief, row) triples whose row
+    violates the condition, or None."""
+    for index, belief, row in rows:
+        cex = condition(row, belief, full)
+        if cex is not None:
+            return (index, *cex)
+    return None
+
+
+def _world_rows(fam: WorldUpdateFamily):
+    return ((w, 1 << w, (0, *row)) for w, row in enumerate(fam.u))
+
 
 def audit_k7(fam: WorldUpdateFamily):
     """First violation of u(w, E|F) <= u(w,E) | u(w,F), or None."""
-    full = fam.space.full
-    u = fam.u
-    for w in range(fam.space.world_count):
-        row = u[w]
-        for e in range(1, full + 1):
-            for f in range(1, full + 1):
-                if row[(e | f) - 1] & ~(row[e - 1] | row[f - 1]):
-                    return (w, e, f)
-    return None
+    return _first_violation(disjunction, _world_rows(fam), fam.space.full)
 
 
 def audit_k9(fam: WorldUpdateFamily):
     """First violation of the per-world conditional-expansion bound:
     when E&F is non-empty and u(w,E)&F is non-empty, u(w, E&F) must be
     contained in u(w,E)&F. Returns (w, E, F) or None."""
-    full = fam.space.full
-    u = fam.u
-    for w in range(fam.space.world_count):
-        row = u[w]
-        for e in range(1, full + 1):
-            ue = row[e - 1]
-            for f in range(1, full + 1):
-                ef = e & f
-                if ef == 0:
-                    continue
-                bound = ue & f
-                if bound and row[ef - 1] & ~bound:
-                    return (w, e, f)
-    return None
+    return _first_violation(expansion, _world_rows(fam), fam.space.full)
 
 
 @dataclass(frozen=True)
@@ -176,42 +172,28 @@ def _lift_table(fam: WorldUpdateFamily) -> list[list[int]]:
     return table
 
 
+def _check_lemma(fam: WorldUpdateFamily, lemma: str, condition) -> LemmaReport:
+    """The condition on every world's row first, then on every lifted
+    belief event's row lift(K, ·)."""
+    full = fam.space.full
+    bad = _first_violation(condition, _world_rows(fam), full)
+    if bad is not None:
+        return LemmaReport(lemma, False, bad, None, None)
+    lift = _lift_table(fam)
+    cex = _first_violation(
+        condition, ((k, k, lift[k]) for k in range(1, full + 1)), full)
+    return LemmaReport(lemma, True, None, cex is None, cex)
+
+
 def check_lemma_k7s(fam: WorldUpdateFamily) -> LemmaReport:
     """Lifted union bound: lift(K, E|F) <= lift(K,E) | lift(K,F)."""
-    bad = audit_k7(fam)
-    if bad is not None:
-        return LemmaReport("k7s", False, bad, None, None)
-    full = fam.space.full
-    lift = _lift_table(fam)
-    for belief in range(1, full + 1):
-        row = lift[belief]
-        for e in range(1, full + 1):
-            for f in range(1, full + 1):
-                if row[e | f] & ~(row[e] | row[f]):
-                    return LemmaReport("k7s", True, None, False, (belief, e, f))
-    return LemmaReport("k7s", True, None, True, None)
+    return _check_lemma(fam, "k7s", disjunction)
 
 
 def check_lemma_k9s(fam: WorldUpdateFamily) -> LemmaReport:
     """Lifted conditional-expansion bound: when lift(K,E)&F is non-empty,
     lift(K, E&F) <= lift(K,E) & F."""
-    bad = audit_k9(fam)
-    if bad is not None:
-        return LemmaReport("k9s", False, bad, None, None)
-    full = fam.space.full
-    lift = _lift_table(fam)
-    for belief in range(1, full + 1):
-        row = lift[belief]
-        for e in range(1, full + 1):
-            le = row[e]
-            for f in range(1, full + 1):
-                ef = e & f
-                if ef == 0:
-                    continue
-                bound = le & f
-                if bound and row[ef] & ~bound:
-                    return LemmaReport("k9s", True, None, False, (belief, e, f))
-    return LemmaReport("k9s", True, None, True, None)
+    return _check_lemma(fam, "k9s", expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +267,7 @@ def family_from_json(data: dict) -> WorldUpdateFamily:
     if not isinstance(data, dict):
         raise FamilyFormatError("family document must be an object")
     k = data.get("worlds")
-    if not isinstance(k, int) or not 1 <= k <= 4:
+    if type(k) is not int or not 1 <= k <= 4:  # bool is an int subclass
         raise FamilyFormatError("'worlds' must be an atom count from 1 to 4")
     space = world_space(k)
     w_count, full = space.world_count, space.full
@@ -297,7 +279,7 @@ def family_from_json(data: dict) -> WorldUpdateFamily:
         if not isinstance(entry, dict) or set(entry) != {"w", "event", "value"}:
             raise FamilyFormatError("each entry needs exactly w, event, value")
         w = entry["w"]
-        if not isinstance(w, int) or not 0 <= w < w_count:
+        if type(w) is not int or not 0 <= w < w_count:
             raise FamilyFormatError(f"world index {w!r} out of range")
         try:
             event = mask_from_indices(entry["event"], w_count)

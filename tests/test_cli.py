@@ -1,10 +1,12 @@
 """End-to-end command line tests: exit codes, report formats, witness
 round-trips."""
 
+import functools
 import json
 
 import pytest
 
+from artifact import cli, schema
 from artifact.cli import main
 from artifact.frame import Frame, check_property, frame_from_json, frame_to_json
 from artifact.model import make_model, model_to_json, truth_set
@@ -148,6 +150,16 @@ def test_correspond_sampled_two_states(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["frames"] == 200
     assert doc["disagreement_count"] == 0
+
+
+def test_correspond_text_prints_exact_pair_counts(capsys, monkeypatch):
+    pair = schema.CorrespondencePair("A_star_4", "P_diamond_2")
+    monkeypatch.setattr(cli, "run_correspondence_suite",
+                        functools.partial(schema.run_correspondence_suite, pairs=(pair,)))
+    assert main(["correspond", "--states", "2", "--sample", "2000", "--seed", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "A_star_4 vs P_diamond_2: axiom" in out and "disagreements 296" in out
+    assert "total disagreements: 296" in out
 
 
 def test_correspond_exhaustive_three_states_refused(capsys):

@@ -21,6 +21,13 @@ from artifact.frame import (
     mask_from_indices,
     sample_frame,
 )
+from artifact.worlds import (
+    FamilyFormatError,
+    family_from_json,
+    family_to_json,
+    generate_family,
+    world_space,
+)
 
 # n=2, B(0)={0}, B(1)={0,1}; selection rows are (E={0}, E={1}, E={0,1}).
 DEMO = Frame(2, (1, 3), ((0, 2, 1), (1, 0, 3)))
@@ -109,6 +116,11 @@ def test_property_hand_values():
     assert check_property(DEMO, "P_star_2_diamond_1") == (True, None)
     assert check_property(DEMO, "P_diamond_2") == (False, (0, 0b01))
     assert check_property(DEMO, "P_star_5b_diamond_3b") == (False, (0, 0b01))
+    # first counterexamples of the pair conditions, in scan order
+    assert check_property(DEMO, "P_star_7_diamond_5") == (False, (0, 0b11, 0b01))
+    assert check_property(DEMO, "P_diamond_6w") == (False, (0, 0b01, 0b11))
+    assert check_property(DEMO, "P_diamond_7s") == (False, (0, 0b01, 0b10))
+    assert check_property(DEMO, "P_star_4") == (True, None)
 
 
 def test_witness_frame_separates_revision_from_update():
@@ -232,3 +244,43 @@ def test_json_rejects_malformed():
         frame_from_json([1, 2, 3])
     with pytest.raises(FrameFormatError):
         frame_from_json({"states": 2})
+
+
+def test_json_incomplete_large_document_fails_fast():
+    doc = {"states": 40, "belief": [[0]] * 40, "selection": []}
+    with pytest.raises(FrameFormatError, match=r"not total: no entry for s=0, event=\[0\]"):
+        frame_from_json(doc)
+
+
+def _one_state_doc():
+    return {"states": 1, "belief": [[0]],
+            "selection": [{"s": 0, "event": [0], "value": [0]}]}
+
+
+def _one_atom_family_doc():
+    return family_to_json(generate_family(world_space(1), 0, "none"))
+
+
+def _set(doc, path, value):
+    *keys, last = path
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("make,load,error,path,value", [
+    (_one_state_doc, frame_from_json, FrameFormatError, ("states",), True),
+    (_one_state_doc, frame_from_json, FrameFormatError, ("selection", 0, "s"), False),
+    (_one_state_doc, frame_from_json, FrameFormatError, ("belief", 0, 0), False),
+    (_one_state_doc, frame_from_json, FrameFormatError, ("selection", 0, "event", 0), False),
+    (_one_atom_family_doc, family_from_json, FamilyFormatError, ("worlds",), True),
+    (_one_atom_family_doc, family_from_json, FamilyFormatError, ("u", 0, "w"), False),
+    (_one_atom_family_doc, family_from_json, FamilyFormatError, ("u", 0, "event", 0), False),
+])
+def test_json_rejects_booleans_as_integers(make, load, error, path, value):
+    doc = make()
+    load(doc)  # the document is valid before the integer becomes a boolean
+    with pytest.raises(error):
+        load(_set(doc, path, value))

@@ -173,8 +173,9 @@ def test_km_checks_match_frame_properties():
     for fr in frames:
         m = make_model(fr, {"p": 1})
         for axiom, prop in _PAIRED.items():
-            per_state = all(check_km_axiom(m, s, axiom)[0] for s in range(fr.n))
-            assert per_state == check_property(fr, prop)[0], (fr, axiom)
+            reports = [(s, check_km_axiom(m, s, axiom)) for s in range(fr.n)]
+            first = next(((s, *cex) for s, (holds, cex) in reports if not holds), None)
+            assert check_property(fr, prop) == (first is None, first), (fr, axiom)
 
 
 # -- characteristic formulas -------------------------------------------------

@@ -245,6 +245,22 @@ def test_verify_containment_report():
     assert derived["A_diamond_7s"]["lines"] == 19
 
 
+def test_containment_rejects_a_script_that_derives_another_formula():
+    reg = ProofRegistry()
+    for script in builtin_scripts():
+        if script.id != "A_diamond_2":
+            reg.register(script)
+    bogus = parse_proof_script("1. PHI -> PHI ; taut", "A_diamond_2", "AGM")
+    assert check_script(bogus, reg).ok
+    reg.register(bogus)
+    report = verify_containment(registry=reg)
+    row = report["items"]["A_diamond_2"]
+    assert not row["ok"]
+    assert "does not derive" in row["reason"]
+    assert not report["ok"]
+    assert report["items"]["A_diamond_6w"]["ok"] and report["items"]["A_diamond_7s"]["ok"]
+
+
 def test_containment_depends_on_the_success_axiom():
     report = verify_containment(excluded_axioms=frozenset({"A_star_4"}))
     row = report["items"]["A_diamond_2"]

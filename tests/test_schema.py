@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.formula import Atom, parse_schema_text
-from artifact.frame import Frame, check_property, enumerate_frames, sample_frame
+from artifact.frame import Frame, check_property, enumerate_frames, frame_to_json, sample_frame
 from artifact.model import make_model, truth_set
 from artifact.schema import (
     AGM_IDS,
     AXIOM_IDS,
     CORRESPONDENCE_PAIRS,
+    CorrespondencePair,
     KM_IDS,
     L_CORE_IDS,
     REGISTRY,
@@ -218,6 +219,21 @@ def test_suite_exhaustive_single_state_report_shape():
     assert set(rep["pairs"]) == {p.axiom for p in CORRESPONDENCE_PAIRS}
     row = rep["pairs"]["A_star_1_diamond_0"]
     assert row["property_count"] == 2 and row["axiom_count"] == 2
+
+
+def test_suite_counts_every_disagreement_past_the_witness_cap():
+    # a deliberately mismatched pair, so the sides disagree on many frames
+    pair = CorrespondencePair("A_star_4", "P_diamond_2")
+    rep = run_correspondence_suite(2, mode="sampled", count=2000, seed=0, pairs=(pair,))
+    rng = random.Random(0)
+    frames = [sample_frame(2, rng) for _ in range(2000)]
+    disagreeing = [fr for fr in frames
+                   if check_property(fr, pair.property)[0]
+                   != schema_valid_on_frame(fr, pair.axiom)[0]]
+    assert len(disagreeing) == 296
+    row = rep["pairs"][pair.axiom]
+    assert row["disagreement_count"] == rep["disagreement_count"] == len(disagreeing)
+    assert row["disagreements"] == [frame_to_json(fr) for fr in disagreeing[:25]]
 
 
 def test_compile_rejects_concrete_atoms_and_empty_templates():

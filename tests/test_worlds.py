@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import chain, combinations
 
 import pytest
@@ -199,6 +200,36 @@ def test_checkers_match_set_oracle_exhaustively_at_one_atom():
     # success-respecting hypothesis families all lift
     assert counts["k9_success"] == 256
     assert counts["k9_success_viol"] == 0
+
+
+def _pointwise_first(indices, violates, full):
+    """First (i, E, F) in ascending order with violates(i, E, F), or None."""
+    return next(((i, e, f) for i in indices
+                 for e in range(1, full + 1) for f in range(1, full + 1)
+                 if violates(i, e, f)), None)
+
+
+def _k7_violation(upd):
+    return lambda i, e, f: upd(i, e | f) & ~(upd(i, e) | upd(i, f))
+
+
+def _k9_violation(upd):
+    return lambda i, e, f: bool(e & f and upd(i, e) & f
+                                and upd(i, e & f) & ~(upd(i, e) & f))
+
+
+def test_first_counterexamples_match_a_pointwise_scan_at_one_atom():
+    full = SP1.full
+    worlds, beliefs = range(SP1.world_count), range(1, full + 1)
+    for fam in enumerate_families(SP1):
+        lift = partial(lift_update, fam)
+        assert audit_k7(fam) == _pointwise_first(worlds, _k7_violation(fam.update), full)
+        assert audit_k9(fam) == _pointwise_first(worlds, _k9_violation(fam.update), full)
+        for report, violation in ((check_lemma_k7s(fam), _k7_violation),
+                                  (check_lemma_k9s(fam), _k9_violation)):
+            if report.hypothesis_ok:
+                assert report.counterexample == _pointwise_first(
+                    beliefs, violation(lift), full), fam
 
 
 def test_checkers_match_set_oracle_on_random_two_atom_families():
