@@ -79,7 +79,7 @@ from .worlds import (
     world_space,
 )
 
-_USAGE_ERRORS = (OSError, json.JSONDecodeError, ParseError, ValueError, KeyError)
+_USAGE_ERRORS = (OSError, json.JSONDecodeError, ParseError, ValueError)
 
 
 def _load_json(path: str) -> dict:

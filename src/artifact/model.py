@@ -7,6 +7,15 @@ holds at s iff a denotes the empty event (vacuous case) or the selection
 f(s, den(a)) lies inside den(b), and B a holds at s iff the believed
 event lies inside den(a).
 
+The clauses are written twice, once per way of running them.
+``denotation`` is the recursive reference: it evaluates a formula on a
+frame with atoms and schema metavariables alike looked up in one
+mapping to events, and ``truth_set`` is it under a model's valuation.
+``_Codegen`` emits the same clauses as Python source, and both
+compilers build on it: ``compile_truth`` for concrete formulas under a
+fixed valuation, and ``schema.compile_schema_checker`` for whole-frame
+schema validity scans.
+
 The belief-change reading: psi belongs to the changed belief set at s
 after input phi iff update_event(m, s, den(phi)) is a subset of den(psi).
 ``check_km_axiom`` decides the update postulates with formulas replaced
@@ -21,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .formula import (
     And,
@@ -35,7 +44,9 @@ from .formula import (
     MetaAtom,
     Not,
     Or,
-    is_boolean,
+    _match_and,
+    _match_iff,
+    _match_implies,
 )
 from .frame import (Frame, FrameFormatError, bits, conjunction, consistency, disjunction,
                     frame_from_json, frame_to_json, indices_from_mask, mask_from_indices,
@@ -43,7 +54,7 @@ from .frame import (Frame, FrameFormatError, bits, conjunction, consistency, dis
 
 __all__ = [
     "Model", "BeliefState", "UnvaluedAtomError", "NonSeparatingValuationError",
-    "make_model", "belief_state", "truth_set", "holds_at", "update_event",
+    "make_model", "belief_state", "denotation", "truth_set", "holds_at", "update_event",
     "KM_AXIOM_IDS", "check_km_axiom", "characteristic_formula",
     "km_formula_instances", "check_km_axiom_via_formulas", "compile_truth",
     "model_to_json", "model_from_json",
@@ -64,12 +75,6 @@ class NonSeparatingValuationError(ValueError):
 class Model:
     frame: Frame
     valuation: tuple[tuple[str, int], ...]  # sorted (atom, event) pairs
-
-    def value(self, name: str) -> int:
-        for atom, event in self.valuation:
-            if atom == name:
-                return event
-        raise UnvaluedAtomError(f"atom {name!r} has no value in this model")
 
     def valuation_map(self) -> dict[str, int]:
         return dict(self.valuation)
@@ -102,39 +107,50 @@ def belief_state(m: Model, s: int) -> BeliefState:
 # ---------------------------------------------------------------------------
 # truth
 
-def truth_set(m: Model, f: Formula) -> int:
-    """The event {s : s satisfies f}, computed bottom-up."""
-    fr = m.frame
+def denotation(fr: Frame, f: Formula, env: Mapping[str, int]) -> int:
+    """The event {s : s satisfies f}, computed bottom-up, with atoms and
+    metavariables denoting the events ``env`` gives them. Atom names are
+    lowercase and metavariable names uppercase, so one mapping serves a
+    model's valuation and a schema's binding alike."""
     full = fr.full
     match f:
-        case Atom(name):
-            return m.value(name)
+        case Atom(name) | MetaAtom(name, _):
+            e = env.get(name)
+            if e is None:
+                if isinstance(f, MetaAtom):
+                    raise ValueError(f"metavariable {name} in a concrete formula")
+                raise UnvaluedAtomError(f"atom {name!r} has no value in this model")
+            if e & ~full:
+                raise ValueError(f"event for {name} out of the frame's universe")
+            return e
         case Not(child):
-            return full & ~truth_set(m, child)
+            return full & ~denotation(fr, child, env)
         case Or(left, right):
-            return truth_set(m, left) | truth_set(m, right)
+            return denotation(fr, left, env) | denotation(fr, right, env)
         case Box(child):
-            return full if truth_set(m, child) == full else 0
+            return full if denotation(fr, child, env) == full else 0
         case Believes(child):
-            e = truth_set(m, child)
+            e = denotation(fr, child, env)
             out = 0
             for s in range(fr.n):
                 if fr.belief[s] & ~e == 0:
                     out |= 1 << s
             return out
         case Cond(antecedent, consequent):
-            ea = truth_set(m, antecedent)
+            ea = denotation(fr, antecedent, env)
             if ea == 0:
                 return full  # vacuous case: contradictory antecedent
-            eb = truth_set(m, consequent)
+            eb = denotation(fr, consequent, env)
             out = 0
             for s in range(fr.n):
                 if fr.selection[s][ea - 1] & ~eb == 0:
                     out |= 1 << s
             return out
-        case MetaAtom(name, _):
-            raise ValueError(f"metavariable {name} in a concrete formula")
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def truth_set(m: Model, f: Formula) -> int:
+    return denotation(m.frame, f, m.valuation_map())
 
 
 def holds_at(m: Model, s: int, f: Formula) -> bool:
@@ -153,84 +169,137 @@ def update_event(m: Model, s: int, event: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fast evaluator
+# code generation
+
+class _Codegen:
+    """Emits the truth clauses as Python source over the locals ``full``,
+    ``belief`` and ``sel`` of the generated function. Metavariable
+    ``names[i]`` is the loop variable ``e_i``, and every expression
+    carries its level: how many of those loops it sits inside. Modal
+    nodes become statements in their level's block; Boolean nodes stay
+    expressions. A concrete atom is its event in ``valuation``."""
+
+    def __init__(self, names: list[str], valuation: Mapping[str, int] | None = None):
+        self.names = names
+        self.valuation = {} if valuation is None else valuation
+        self.blocks: dict[int, list[str]] = {i: [] for i in range(len(names) + 1)}
+        self.memo: dict[Formula, tuple[str, int]] = {}
+        self.counter = 0
+
+    def fresh(self) -> str:
+        self.counter += 1
+        return f"t{self.counter}"
+
+    def add(self, level: int, text: str) -> None:
+        self.blocks[level].extend(text.split("\n"))
+
+    def emit(self, f: Formula) -> tuple[str, int]:
+        got = self.memo.get(f)
+        if got is not None:
+            return got
+        if (m := _match_iff(f)) is not None:
+            (ex, lx), (ey, ly) = self.emit(m[0]), self.emit(m[1])
+            out = (f"(full ^ ({ex} ^ {ey}))", max(lx, ly))
+        elif (m := _match_and(f)) is not None:
+            (ex, lx), (ey, ly) = self.emit(m[0]), self.emit(m[1])
+            out = (f"({ex} & {ey})", max(lx, ly))
+        elif (m := _match_implies(f)) is not None:
+            (ex, lx), (ey, ly) = self.emit(m[0]), self.emit(m[1])
+            out = (f"((full ^ {ex}) | {ey})", max(lx, ly))
+        else:
+            match f:
+                case MetaAtom(name, _):
+                    if name not in self.names:
+                        raise ValueError(f"metavariable {name} in a concrete formula")
+                    out = (f"e_{self.names.index(name)}", self.names.index(name) + 1)
+                case Atom(name):
+                    if name not in self.valuation:
+                        raise UnvaluedAtomError(f"concrete atom {name!r} has no value")
+                    out = (str(self.valuation[name]), 0)
+                case Not(child):
+                    ex, lx = self.emit(child)
+                    out = (f"(full ^ {ex})", lx)
+                case Or(left, right):
+                    (ex, lx), (ey, ly) = self.emit(left), self.emit(right)
+                    out = (f"({ex} | {ey})", max(lx, ly))
+                case Box(child):
+                    ex, lx = self.emit(child)
+                    v = self.fresh()
+                    self.add(lx, f"{v} = full if {ex} == full else 0")
+                    out = (v, lx)
+                case Believes(child):
+                    ex, lx = self.emit(child)
+                    v = self.fresh()
+                    self.add(lx, (
+                        f"_r{v} = full ^ {ex}\n"
+                        f"{v} = 0\n"
+                        f"_m{v} = 1\n"
+                        f"for _b in belief:\n"
+                        f"    if _b & _r{v} == 0:\n"
+                        f"        {v} |= _m{v}\n"
+                        f"    _m{v} <<= 1"))
+                    out = (v, lx)
+                case Cond(antecedent, consequent):
+                    (ex, lx), (ey, ly) = self.emit(antecedent), self.emit(consequent)
+                    v = self.fresh()
+                    self.add(max(lx, ly), (
+                        f"if {ex}:\n"
+                        f"    _r{v} = full ^ {ey}\n"
+                        f"    _i{v} = {ex} - 1\n"
+                        f"    {v} = 0\n"
+                        f"    _m{v} = 1\n"
+                        f"    for _row in sel:\n"
+                        f"        if _row[_i{v}] & _r{v} == 0:\n"
+                        f"            {v} |= _m{v}\n"
+                        f"        _m{v} <<= 1\n"
+                        f"else:\n"
+                        f"    {v} = full"))
+                    out = (v, max(lx, ly))
+                case _:
+                    raise TypeError(f"not a formula node: {f!r}")
+        self.memo[f] = out
+        return out
+
+    def function(self, name: str, result: str) -> Callable[[Frame], object]:
+        """``def name(fr)``: block 0, then one loop over the frame's events
+        per metavariable with block i inside loop i, then ``return
+        result``. The function is returned without the namespace it was
+        executed in, so the two do not form a reference cycle."""
+        lines = [
+            f"def {name}(fr):",
+            "    full = fr.full",
+            "    belief = fr.belief",
+            "    sel = fr.selection",
+        ]
+        if self.names:
+            lines.append("    ev = range(full + 1)")
+        pad = "    "
+        for line in self.blocks[0]:
+            lines.append(pad + line)
+        for i in range(len(self.names)):
+            lines.append(pad * (i + 1) + f"for e_{i} in ev:")
+            for line in self.blocks[i + 1]:
+                lines.append(pad * (i + 2) + line)
+        lines.append(f"    return {result}")
+        ns: dict = {}
+        exec("\n".join(lines), ns)
+        return ns.pop(name)
+
 
 def compile_truth(f: Formula, valuation: Mapping[str, int], n: int) -> Callable[[Frame], int]:
-    """Compile a formula to a closure Frame -> truth-set mask.
+    """Compile a formula to a function Frame -> truth-set mask.
 
-    The valuation and state count are fixed at compile time, so Boolean
-    subformulas fold into constants and only the modal structure is
-    evaluated per frame. Agrees with truth_set on every frame with n
-    states (a tested property)."""
+    The valuation and state count are fixed at compile time, so atoms
+    become constants and the whole formula one straight-line function.
+    Agrees with truth_set on every frame with n states (a tested
+    property)."""
     full = (1 << n) - 1
-
-    def fold(g: Formula) -> int:
-        match g:
-            case Atom(name):
-                try:
-                    event = valuation[name]
-                except KeyError:
-                    raise UnvaluedAtomError(f"atom {name!r} has no value") from None
-                if event & ~full:
-                    raise ValueError(f"valuation of {name!r} out of the universe")
-                return event
-            case Not(child):
-                return full & ~fold(child)
-            case Or(left, right):
-                return fold(left) | fold(right)
-        raise TypeError(f"not a Boolean node: {g!r}")
-
-    def build(g: Formula) -> Callable[[Frame], int]:
-        if is_boolean(g):
-            if isinstance(g, MetaAtom):
-                raise ValueError(f"metavariable {g.name} in a concrete formula")
-            mask = fold(g)
-            return lambda fr: mask
-        match g:
-            case Not(child):
-                cc = build(child)
-                return lambda fr: full & ~cc(fr)
-            case Or(left, right):
-                cl, cr = build(left), build(right)
-                return lambda fr: cl(fr) | cr(fr)
-            case Box(child):
-                cc = build(child)
-                return lambda fr: full if cc(fr) == full else 0
-            case Believes(child):
-                cc = build(child)
-
-                def run_believes(fr: Frame, _cc=cc) -> int:
-                    rest = full & ~_cc(fr)
-                    out, bit = 0, 1
-                    for b in fr.belief:
-                        if b & rest == 0:
-                            out |= bit
-                        bit <<= 1
-                    return out
-
-                return run_believes
-            case Cond(antecedent, consequent):
-                ca, cb = build(antecedent), build(consequent)
-
-                def run_cond(fr: Frame, _ca=ca, _cb=cb) -> int:
-                    ea = _ca(fr)
-                    if ea == 0:
-                        return full
-                    rest = full & ~_cb(fr)
-                    out, bit = 0, 1
-                    idx = ea - 1
-                    for row in fr.selection:
-                        if row[idx] & rest == 0:
-                            out |= bit
-                        bit <<= 1
-                    return out
-
-                return run_cond
-            case MetaAtom(name, _):
-                raise ValueError(f"metavariable {name} in a concrete formula")
-        raise TypeError(f"not a formula node: {g!r}")
-
-    return build(f)
+    for name, event in valuation.items():
+        if event & ~full:
+            raise ValueError(f"valuation of {name!r} out of the universe")
+    cg = _Codegen([], valuation)
+    expr, _ = cg.emit(f)
+    return cg.function("_run", expr)
 
 
 # ---------------------------------------------------------------------------

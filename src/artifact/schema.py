@@ -8,13 +8,16 @@ metavariables directly over the frame's events is sound and complete.
 The checker therefore plugs metavariable events straight into the truth
 clauses and never enumerates formulas.
 
-Two evaluation paths exist. ``eval_schema_instance`` is the direct
-recursive reference. ``compile_schema_checker`` generates specialized
-Python source for a whole-frame validity scan: metavariable loops are
-ordered by first occurrence in the template, antecedent conjuncts are
-hoisted to the outermost loop that binds their metavariables, and a
-zero guard prunes the inner loops. Both paths report the same first
-counterexample (binding in lexicographic scan order, then lowest state).
+The truth clauses themselves live in ``model``: the reference evaluator
+``denotation`` and the code generator ``_Codegen``. This module only
+drives them. ``compile_schema_checker`` has ``_Codegen`` emit the
+template's clauses inside one loop per metavariable, ordered by first
+occurrence in the template, hoists antecedent conjuncts to the outermost
+loop that binds their metavariables, and prunes the inner loops with a
+zero guard. ``schema_valid_on_frame_generic`` and
+``rule_preserves_validity`` scan the same bindings through
+``denotation``. Both paths report the same first counterexample
+(binding in lexicographic scan order, then lowest state).
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Mapping
+from typing import Callable
 
 from .formula import (
-    Atom,
     Believes,
     Box,
     Cond,
@@ -41,11 +43,12 @@ from .formula import (
     parse_schema_text,
 )
 from .frame import Frame, check_property, enumerate_frames, frame_to_json, sample_frame
+from .model import _Codegen, denotation
 
 __all__ = [
     "AxiomInfo", "RuleTemplate", "REGISTRY", "AXIOM_IDS", "L_CORE_IDS",
     "KM_IDS", "AGM_IDS", "CorrespondencePair", "CORRESPONDENCE_PAIRS",
-    "eval_schema_instance", "schema_valid_on_frame", "rule_valid_on_frame",
+    "schema_valid_on_frame", "rule_valid_on_frame",
     "rule_preserves_validity", "compile_schema_checker",
     "correspondence_check", "run_correspondence_suite",
 ]
@@ -137,47 +140,6 @@ def _info(a: str) -> AxiomInfo:
         raise ValueError(f"unknown axiom id {a!r}") from None
 
 
-# ---------------------------------------------------------------------------
-# reference evaluator
-
-def eval_schema_instance(fr: Frame, template: Formula, binding: Mapping[str, int]) -> int:
-    """Truth-set mask of the template with metavariables denoting events."""
-    full = fr.full
-    match template:
-        case MetaAtom(name, _):
-            e = binding[name]
-            if e & ~full:
-                raise ValueError(f"event for {name} out of the frame's universe")
-            return e
-        case Not(child):
-            return full & ~eval_schema_instance(fr, child, binding)
-        case Or(left, right):
-            return (eval_schema_instance(fr, left, binding)
-                    | eval_schema_instance(fr, right, binding))
-        case Box(child):
-            return full if eval_schema_instance(fr, child, binding) == full else 0
-        case Believes(child):
-            e = eval_schema_instance(fr, child, binding)
-            out = 0
-            for s in range(fr.n):
-                if fr.belief[s] & ~e == 0:
-                    out |= 1 << s
-            return out
-        case Cond(antecedent, consequent):
-            ea = eval_schema_instance(fr, antecedent, binding)
-            if ea == 0:
-                return full
-            eb = eval_schema_instance(fr, consequent, binding)
-            out = 0
-            for s in range(fr.n):
-                if fr.selection[s][ea - 1] & ~eb == 0:
-                    out |= 1 << s
-            return out
-        case Atom(name):
-            raise ValueError(f"concrete atom {name!r} in a schema template")
-    raise TypeError(f"not a formula node: {template!r}")
-
-
 def _scan_names(templates) -> list[str]:
     """Metavariables in order of first occurrence (preorder, left to right)."""
     seen: list[str] = []
@@ -213,84 +175,6 @@ def _flatten_and(f: Formula) -> list[Formula]:
     if m is None or _match_iff(f) is not None:
         return [f]
     return _flatten_and(m[0]) + _flatten_and(m[1])
-
-
-class _Codegen:
-    def __init__(self, names: list[str]):
-        self.names = names
-        self.blocks: dict[int, list[str]] = {i: [] for i in range(len(names) + 1)}
-        self.memo: dict[Formula, tuple[str, int]] = {}
-        self.counter = 0
-
-    def fresh(self) -> str:
-        self.counter += 1
-        return f"t{self.counter}"
-
-    def add(self, level: int, text: str) -> None:
-        self.blocks[level].extend(text.split("\n"))
-
-    def emit(self, f: Formula) -> tuple[str, int]:
-        got = self.memo.get(f)
-        if got is not None:
-            return got
-        if (m := _match_iff(f)) is not None:
-            (ex, lx), (ey, ly) = self.emit(m[0]), self.emit(m[1])
-            out = (f"(full ^ ({ex} ^ {ey}))", max(lx, ly))
-        elif (m := _match_and(f)) is not None:
-            (ex, lx), (ey, ly) = self.emit(m[0]), self.emit(m[1])
-            out = (f"({ex} & {ey})", max(lx, ly))
-        elif (m := _match_implies(f)) is not None:
-            (ex, lx), (ey, ly) = self.emit(m[0]), self.emit(m[1])
-            out = (f"((full ^ {ex}) | {ey})", max(lx, ly))
-        else:
-            match f:
-                case MetaAtom(name, _):
-                    out = (f"e_{self.names.index(name)}", self.names.index(name) + 1)
-                case Not(child):
-                    ex, lx = self.emit(child)
-                    out = (f"(full ^ {ex})", lx)
-                case Or(left, right):
-                    (ex, lx), (ey, ly) = self.emit(left), self.emit(right)
-                    out = (f"({ex} | {ey})", max(lx, ly))
-                case Box(child):
-                    ex, lx = self.emit(child)
-                    v = self.fresh()
-                    self.add(lx, f"{v} = full if {ex} == full else 0")
-                    out = (v, lx)
-                case Believes(child):
-                    ex, lx = self.emit(child)
-                    v = self.fresh()
-                    self.add(lx, (
-                        f"_r{v} = full ^ {ex}\n"
-                        f"{v} = 0\n"
-                        f"_m{v} = 1\n"
-                        f"for _b in belief:\n"
-                        f"    if _b & _r{v} == 0:\n"
-                        f"        {v} |= _m{v}\n"
-                        f"    _m{v} <<= 1"))
-                    out = (v, lx)
-                case Cond(antecedent, consequent):
-                    (ex, lx), (ey, ly) = self.emit(antecedent), self.emit(consequent)
-                    v = self.fresh()
-                    self.add(max(lx, ly), (
-                        f"if {ex}:\n"
-                        f"    _r{v} = full ^ {ey}\n"
-                        f"    _i{v} = {ex} - 1\n"
-                        f"    {v} = 0\n"
-                        f"    _m{v} = 1\n"
-                        f"    for _row in sel:\n"
-                        f"        if _row[_i{v}] & _r{v} == 0:\n"
-                        f"            {v} |= _m{v}\n"
-                        f"        _m{v} <<= 1\n"
-                        f"else:\n"
-                        f"    {v} = full"))
-                    out = (v, max(lx, ly))
-                case Atom(name):
-                    raise ValueError(f"concrete atom {name!r} in a schema template")
-                case _:
-                    raise TypeError(f"not a formula node: {f!r}")
-        self.memo[f] = out
-        return out
 
 
 def compile_schema_checker(template: Formula) -> Callable[[Frame], tuple[dict, int] | None]:
@@ -337,24 +221,7 @@ def compile_schema_checker(template: Formula) -> Callable[[Frame], tuple[dict, i
         f"        _s += 1\n"
         f"    return {{{binding_src}}}, _s"))
 
-    lines = [
-        "def _check(fr):",
-        "    full = fr.full",
-        "    belief = fr.belief",
-        "    sel = fr.selection",
-        "    ev = range(full + 1)",
-    ]
-    pad = "    "
-    for line in cg.blocks[0]:
-        lines.append(pad + line)
-    for i in range(len(names)):
-        lines.append(pad * (i + 1) + f"for e_{i} in ev:")
-        for line in cg.blocks[i + 1]:
-            lines.append(pad * (i + 2) + line)
-    lines.append("    return None")
-    ns: dict = {}
-    exec("\n".join(lines), ns)
-    return ns["_check"]
+    return cg.function("_check", "None")
 
 
 _COMPILED: dict[str, Callable] = {}
@@ -384,7 +251,7 @@ def schema_valid_on_frame_generic(fr: Frame, template: Formula):
     full = fr.full
     for events in product(range(full + 1), repeat=len(names)):
         binding = dict(zip(names, events))
-        mask = eval_schema_instance(fr, template, binding)
+        mask = denotation(fr, template, binding)
         if mask != full:
             return False, (binding, _first_false_state(mask, fr.n))
     return True, None
@@ -397,8 +264,8 @@ def rule_preserves_validity(fr: Frame, premises, conclusion):
     full = fr.full
     for events in product(range(full + 1), repeat=len(names)):
         binding = dict(zip(names, events))
-        if all(eval_schema_instance(fr, p, binding) == full for p in premises):
-            mask = eval_schema_instance(fr, conclusion, binding)
+        if all(denotation(fr, p, binding) == full for p in premises):
+            mask = denotation(fr, conclusion, binding)
             if mask != full:
                 return False, (binding, _first_false_state(mask, fr.n))
     return True, None

@@ -72,6 +72,18 @@ def test_unknown_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_internal_key_error_is_not_a_usage_error(frame_path, monkeypatch, capsys):
+    # input documents report missing keys as ValueError subclasses, so a
+    # KeyError is an internal fault and must surface with its traceback
+    def broken(doc):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "frame_from_json", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["frame-check", "--frame", frame_path])
+    assert capsys.readouterr().err == ""
+
+
 def test_truth_set_reports_states(model_path, capsys):
     code = main(["truth-set", "--model", model_path, "--formula", "~q",
                  "--format", "json"])

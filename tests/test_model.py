@@ -18,6 +18,7 @@ from artifact.model import (
     check_km_axiom,
     check_km_axiom_via_formulas,
     compile_truth,
+    denotation,
     holds_at,
     km_formula_instances,
     make_model,
@@ -105,6 +106,9 @@ def test_metavariable_rejected():
     from artifact.formula import mv
     with pytest.raises(ValueError, match="metavariable"):
         truth_set(M, Believes(mv("PHI")))
+    # a schema binding that leaves a metavariable unbound
+    with pytest.raises(ValueError, match="metavariable PSI"):
+        denotation(POINTED, Cond(mv("PHI"), mv("PSI")), {"PHI": 0b01})
 
 
 # -- belief change -----------------------------------------------------------

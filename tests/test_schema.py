@@ -1,11 +1,13 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact.formula import Atom, parse_schema_text
+from artifact.formula import Atom, parse, parse_schema_text
 from artifact.frame import Frame, check_property, enumerate_frames, frame_to_json, sample_frame
-from artifact.model import make_model, truth_set
+from artifact.model import UnvaluedAtomError, compile_truth, denotation, make_model, truth_set
 from artifact.schema import (
     AGM_IDS,
     AXIOM_IDS,
@@ -16,7 +18,6 @@ from artifact.schema import (
     REGISTRY,
     compile_schema_checker,
     correspondence_check,
-    eval_schema_instance,
     rule_preserves_validity,
     rule_valid_on_frame,
     run_correspondence_suite,
@@ -71,7 +72,7 @@ def test_counterexample_pins_first_failure():
     assert binding == {"PHI": 0b01, "PSI": 0b00}
     assert s == 0
     tpl = REGISTRY["A_diamond_2"].schema.template
-    mask = eval_schema_instance(GAPPY, tpl, binding)
+    mask = denotation(GAPPY, tpl, binding)
     assert not mask >> s & 1
 
 
@@ -115,7 +116,7 @@ def test_event_instantiation_matches_formula_semantics():
         atoms = {nm: f"mv_{nm.lower()}" for nm in names}
         m = make_model(fr, {atoms[nm]: binding[nm] for nm in names})
         inst = instantiate(sch, {nm: Atom(atoms[nm]) for nm in names})
-        assert truth_set(m, inst) == eval_schema_instance(fr, sch.template, binding)
+        assert truth_set(m, inst) == denotation(fr, sch.template, binding)
 
 
 def test_shared_rules_are_validity_preserving_everywhere():
@@ -243,3 +244,28 @@ def test_compile_rejects_concrete_atoms_and_empty_templates():
         compile_schema_checker(Atom("p"))
     with pytest.raises(ValueError, match="concrete atom"):
         compile_schema_checker(Or(Atom("p"), parse_schema_text("PHI")))
+    # the reference evaluator's leaf checks on schema bindings
+    with pytest.raises(UnvaluedAtomError):
+        denotation(GAPPY, Or(Atom("p"), parse_schema_text("PHI")), {"PHI": 0b01})
+    with pytest.raises(ValueError, match="event for PHI out of the frame's universe"):
+        denotation(GAPPY, parse_schema_text("B PHI"), {"PHI": 0b100})
+
+
+def test_compiled_functions_are_freed_without_the_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        check = compile_schema_checker(REGISTRY["A_diamond_2"].schema.template)
+        assert check(GAPPY) is not None
+        ref = weakref.ref(check)
+        del check
+        assert ref() is None
+        run = compile_truth(parse("B(p > q) | []p"), {"p": 0b01, "q": 0b10}, 2)
+        assert run(GAPPY) == truth_set(make_model(GAPPY, {"p": 0b01, "q": 0b10}),
+                                       parse("B(p > q) | []p"))
+        ref = weakref.ref(run)
+        del run
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
