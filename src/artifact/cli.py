@@ -53,7 +53,7 @@ from .model import (
     KM_AXIOM_IDS,
     check_km_axiom,
     check_km_axiom_via_formulas,
-    compile_truth,
+    compile_conjunctions,
     holds_at,
     km_formula_instances,
     make_model,
@@ -80,6 +80,12 @@ from .worlds import (
 )
 
 _USAGE_ERRORS = (OSError, json.JSONDecodeError, ParseError, ValueError)
+
+# Work budgets: runs past these sizes cannot finish, so they are refused
+# before any of the work starts.
+_BRIDGE_MAX_STATES = 5  # formula instances grow about 8.5x per state
+_CORRESPOND_MAX_STATES = 7  # three-metavariable checkers bind (2^n)^3 events
+_WORLDS_MAX_ATOMS = 3  # lemma steps grow with the cube of 2^(2^atoms) - 1
 
 
 def _load_json(path: str) -> dict:
@@ -163,6 +169,11 @@ def _cmd_check_km(args) -> int:
     m = model_from_json(_load_json(args.model))
     if not 0 <= args.state < m.frame.n:
         raise ValueError(f"state {args.state} out of range for {m.frame.n} states")
+    if args.bridge and m.frame.n > _BRIDGE_MAX_STATES:
+        raise ValueError(
+            f"refusing --bridge on a model with {m.frame.n} states: its formula "
+            f"instances grow about 8.5x per state (113,566 at 5 states); "
+            f"at most {_BRIDGE_MAX_STATES} states")
     axioms = KM_AXIOM_IDS if args.axiom == "all" else (args.axiom,)
     instances = (km_formula_instances(m.frame.n, m.valuation_map())
                  if args.bridge else None)
@@ -191,6 +202,11 @@ def _cmd_check_km(args) -> int:
 
 
 def _cmd_correspond(args) -> int:
+    if args.states > _CORRESPOND_MAX_STATES:
+        raise ValueError(
+            f"refusing --states {args.states}: each three-metavariable axiom "
+            f"checker needs {(1 << args.states) ** 3:,} bindings per frame; "
+            f"at most {_CORRESPOND_MAX_STATES} states")
     mode = "sampled" if args.sample is not None else "exhaustive"
     count = args.sample if args.sample is not None else 0
     report = run_correspondence_suite(args.states, mode, count=count, seed=args.seed)
@@ -266,6 +282,11 @@ def run_worlds_report(atoms: int, mode: str, count: int, seed: int,
 
 
 def _cmd_worlds_check(args) -> int:
+    if args.atoms > _WORLDS_MAX_ATOMS:
+        events = (1 << (1 << args.atoms)) - 1
+        raise ValueError(
+            f"refusing --atoms {args.atoms}: the lemma checks need about "
+            f"{events:,}^3 steps per family; at most {_WORLDS_MAX_ATOMS} atoms")
     mode = "sampled" if args.sample is not None else "exhaustive"
     count = args.sample if args.sample is not None else 0
     report = run_worlds_report(args.atoms, mode, count, args.seed,
@@ -362,31 +383,33 @@ _SEPARATING = ({"p": 0b01}, {"p": 0b10})
 def criterion_formula_bridge() -> dict:
     """Event-level postulate checks must agree with the formula-level
     restatements through characteristic formulas, on every two-state
-    frame, for both separating one-atom valuations."""
-    compiled = []
-    for valuation in _SEPARATING:
-        instances = km_formula_instances(2, valuation)
-        compiled.append({a: tuple(compile_truth(f, valuation, 2) for f in fs)
-                         for a, fs in instances.items()})
+    frame, for both separating one-atom valuations.
+
+    Each valuation's instances compile to one function that returns, for
+    every postulate, the states where all of its instances hold; the
+    first valuation's instance table also serves the spot checks through
+    the per-model evaluator."""
+    tables = [km_formula_instances(2, valuation) for valuation in _SEPARATING]
+    compiled = [compile_conjunctions([table[a] for a in KM_AXIOM_IDS], valuation, 2)
+                for table, valuation in zip(tables, _SEPARATING)]
     checked = 0
     disagreements = []
     spot_checks = 0
     for index, fr in enumerate(enumerate_frames(2)):
         m = make_model(fr, _SEPARATING[0])
-        for a in KM_AXIOM_IDS:
+        masks = [run(fr) for run in compiled]
+        for i, a in enumerate(KM_AXIOM_IDS):
             for s in (0, 1):
                 event_level = check_km_axiom(m, s, a)[0]
-                for closures in compiled:
-                    formula_level = all(fn(fr) >> s & 1 for fn in closures[a])
+                for mask in masks:
                     checked += 1
-                    if formula_level != event_level and len(disagreements) < 10:
+                    if (mask[i] >> s & 1) != event_level and len(disagreements) < 10:
                         disagreements.append(
                             {"frame": frame_to_json(fr), "axiom": a, "state": s})
         if index % 1024 == 0:
             # tie the per-model formula evaluator itself into the sweep
-            instances = km_formula_instances(2, _SEPARATING[0])
             for a in KM_AXIOM_IDS:
-                via = check_km_axiom_via_formulas(m, 0, a, instances)
+                via = check_km_axiom_via_formulas(m, 0, a, tables[0])
                 spot_checks += 1
                 if via != check_km_axiom(m, 0, a)[0]:
                     disagreements.append(

@@ -11,10 +11,19 @@ The clauses are written twice, once per way of running them.
 ``denotation`` is the recursive reference: it evaluates a formula on a
 frame with atoms and schema metavariables alike looked up in one
 mapping to events, and ``truth_set`` is it under a model's valuation.
-``_Codegen`` emits the same clauses as Python source, and both
-compilers build on it: ``compile_truth`` for concrete formulas under a
-fixed valuation, and ``schema.compile_schema_checker`` for whole-frame
-schema validity scans.
+``_Codegen`` emits the same clauses as Python source, and every
+compiler builds on it: ``schema.compile_schema_checker`` for
+whole-frame schema validity scans, and ``compile_truth`` and
+``compile_conjunctions`` for concrete formulas under a fixed valuation
+and state count. The last two know the universe at compile time, so
+``_Codegen`` writes it as a literal and folds every node whose value no
+longer depends on the frame; a characteristic formula becomes its
+event. Modal statements are emitted once per distinct operand text, so
+``compile_conjunctions``, which compiles groups of formulas into one
+function returning each group's intersection of truth sets, evaluates
+each distinct conditional and belief only once per frame: the
+event/formula bridge compiles one such function per valuation for all
+of a postulate table's instances.
 
 The belief-change reading: psi belongs to the changed belief set at s
 after input phi iff update_event(m, s, den(phi)) is a subset of den(psi).
@@ -30,7 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .formula import (
     And,
@@ -57,6 +66,7 @@ __all__ = [
     "make_model", "belief_state", "denotation", "truth_set", "holds_at", "update_event",
     "KM_AXIOM_IDS", "check_km_axiom", "characteristic_formula",
     "km_formula_instances", "check_km_axiom_via_formulas", "compile_truth",
+    "compile_conjunctions",
     "model_to_json", "model_from_json",
 ]
 
@@ -171,19 +181,43 @@ def update_event(m: Model, s: int, event: int) -> int:
 # ---------------------------------------------------------------------------
 # code generation
 
-class _Codegen:
-    """Emits the truth clauses as Python source over the locals ``full``,
-    ``belief`` and ``sel`` of the generated function. Metavariable
-    ``names[i]`` is the loop variable ``e_i``, and every expression
-    carries its level: how many of those loops it sits inside. Modal
-    nodes become statements in their level's block; Boolean nodes stay
-    expressions. A concrete atom is its event in ``valuation``."""
+# Every local name of a generated function, kept alive. A name whose last
+# holder dies leaves the interpreter's table of interned strings, and
+# putting the same names back on every recompile churns that table until
+# it doubles: half a megabyte of peak memory in a process that reruns
+# the bridge a hundred times.
+_LOCAL_NAMES: set[str] = set()
 
-    def __init__(self, names: list[str], valuation: Mapping[str, int] | None = None):
+
+class _Codegen:
+    """Emits the truth clauses as Python source over the locals ``belief``
+    and ``sel`` of the generated function, and ``full`` unless the
+    universe is given. Metavariable ``names[i]`` is the loop variable
+    ``e_i``, and every expression carries its level: how many of those
+    loops it sits inside. Modal nodes become statements in their level's
+    block, one per distinct text of their operands, so formulas with the
+    same value share one loop; Boolean nodes stay expressions. A concrete
+    atom is its event in ``valuation``.
+
+    With the universe ``full`` given, it is written as a literal, and
+    every node whose value no longer depends on the frame (a Boolean or
+    [] node over literals, a conditional with an empty antecedent) is
+    folded into one literal; the compiler folds what arithmetic on
+    literals is left in the statements. Boolean nodes also drop
+    operands that cannot change their value (see ``join``)."""
+
+    def __init__(self, names: list[str], valuation: Mapping[str, int] | None = None,
+                 full: int | None = None):
         self.names = names
         self.valuation = {} if valuation is None else valuation
+        self.full = full
+        self.top = "full" if full is None else str(full)
         self.blocks: dict[int, list[str]] = {i: [] for i in range(len(names) + 1)}
-        self.memo: dict[Formula, tuple[str, int]] = {}
+        # by node identity, so a lookup never hashes a formula; ``held``
+        # keeps every memoized node alive, so no id is reused meanwhile
+        self.memo: dict[int, tuple[str, int]] = {}
+        self.held: list[Formula] = []
+        self.statements: dict[tuple[str, ...], tuple[str, int]] = {}
         self.counter = 0
 
     def fresh(self) -> str:
@@ -193,19 +227,69 @@ class _Codegen:
     def add(self, level: int, text: str) -> None:
         self.blocks[level].extend(text.split("\n"))
 
+    def literal(self, ex: str) -> int | None:
+        """The value of a folded expression; None for any other."""
+        return int(ex) if self.full is not None and ex.isdigit() else None
+
+    def neg(self, x: tuple[str, int]) -> tuple[str, int]:
+        ex, lx = x
+        c = self.literal(ex)
+        return (str(self.full ^ c), 0) if c is not None else (f"({self.top} ^ {ex})", lx)
+
+    def join(self, op: str, x: tuple[str, int], y: tuple[str, int]) -> tuple[str, int]:
+        """``x & y`` or ``x | y``. With the universe given, the node folds
+        over two literals, over a literal that is the operation's unit or
+        its absorbing value, over two equal operands and over an operand
+        and its complement. Every expression denotes a subset of the
+        universe, so each of these folds keeps the value."""
+        (ex, lx), (ey, ly) = x, y
+        if self.full is not None:
+            cx, cy = self.literal(ex), self.literal(ey)
+            if cx is not None and cy is not None:
+                return str(cx & cy if op == "&" else cx | cy), 0
+            unit = self.full if op == "&" else 0
+            if cx == unit or ex == ey:
+                return y
+            if cy == unit:
+                return x
+            zero = self.full ^ unit
+            if (zero in (cx, cy) or ex == f"({self.top} ^ {ey})"
+                    or ey == f"({self.top} ^ {ex})"):
+                return str(zero), 0
+        return f"({ex} {op} {ey})", max(lx, ly)
+
+    def iff(self, x: tuple[str, int], y: tuple[str, int]) -> tuple[str, int]:
+        """``x <-> y``; with the universe given it folds over two literals
+        and over two equal operands."""
+        (ex, lx), (ey, ly) = x, y
+        if self.full is not None:
+            cx, cy = self.literal(ex), self.literal(ey)
+            if cx is not None and cy is not None:
+                return str(self.full ^ cx ^ cy), 0
+            if ex == ey:
+                return str(self.full), 0
+        return f"({self.top} ^ ({ex} ^ {ey}))", max(lx, ly)
+
+    def statement(self, key: tuple[str, ...], level: int, text: str) -> tuple[str, int]:
+        """A modal node: its variable, set by ``text`` with ``{v}``
+        standing for the variable, which is emitted once per ``key``."""
+        got = self.statements.get(key)
+        if got is None:
+            v = self.fresh()
+            self.add(level, text.format(v=v, top=self.top))
+            got = self.statements[key] = (v, level)
+        return got
+
     def emit(self, f: Formula) -> tuple[str, int]:
-        got = self.memo.get(f)
+        got = self.memo.get(id(f))
         if got is not None:
             return got
         if (m := _match_iff(f)) is not None:
-            (ex, lx), (ey, ly) = self.emit(m[0]), self.emit(m[1])
-            out = (f"(full ^ ({ex} ^ {ey}))", max(lx, ly))
+            out = self.iff(self.emit(m[0]), self.emit(m[1]))
         elif (m := _match_and(f)) is not None:
-            (ex, lx), (ey, ly) = self.emit(m[0]), self.emit(m[1])
-            out = (f"({ex} & {ey})", max(lx, ly))
+            out = self.join("&", self.emit(m[0]), self.emit(m[1]))
         elif (m := _match_implies(f)) is not None:
-            (ex, lx), (ey, ly) = self.emit(m[0]), self.emit(m[1])
-            out = (f"((full ^ {ex}) | {ey})", max(lx, ly))
+            out = self.join("|", self.neg(self.emit(m[0])), self.emit(m[1]))
         else:
             match f:
                 case MetaAtom(name, _):
@@ -217,47 +301,47 @@ class _Codegen:
                         raise UnvaluedAtomError(f"concrete atom {name!r} has no value")
                     out = (str(self.valuation[name]), 0)
                 case Not(child):
-                    ex, lx = self.emit(child)
-                    out = (f"(full ^ {ex})", lx)
+                    out = self.neg(self.emit(child))
                 case Or(left, right):
-                    (ex, lx), (ey, ly) = self.emit(left), self.emit(right)
-                    out = (f"({ex} | {ey})", max(lx, ly))
+                    out = self.join("|", self.emit(left), self.emit(right))
                 case Box(child):
                     ex, lx = self.emit(child)
-                    v = self.fresh()
-                    self.add(lx, f"{v} = full if {ex} == full else 0")
-                    out = (v, lx)
+                    if self.literal(ex) is not None:
+                        out = (str(self.full if int(ex) == self.full else 0), 0)
+                    else:
+                        out = self.statement(("[]", ex), lx,
+                                             f"{{v}} = {{top}} if {ex} == {{top}} else 0")
                 case Believes(child):
                     ex, lx = self.emit(child)
-                    v = self.fresh()
-                    self.add(lx, (
-                        f"_r{v} = full ^ {ex}\n"
-                        f"{v} = 0\n"
-                        f"_m{v} = 1\n"
+                    out = self.statement(("B", ex), lx, (
+                        f"_r{{v}} = {{top}} ^ {ex}\n"
+                        f"{{v}} = 0\n"
+                        f"_m{{v}} = 1\n"
                         f"for _b in belief:\n"
-                        f"    if _b & _r{v} == 0:\n"
-                        f"        {v} |= _m{v}\n"
-                        f"    _m{v} <<= 1"))
-                    out = (v, lx)
+                        f"    if _b & _r{{v}} == 0:\n"
+                        f"        {{v}} |= _m{{v}}\n"
+                        f"    _m{{v}} <<= 1"))
                 case Cond(antecedent, consequent):
                     (ex, lx), (ey, ly) = self.emit(antecedent), self.emit(consequent)
-                    v = self.fresh()
-                    self.add(max(lx, ly), (
-                        f"if {ex}:\n"
-                        f"    _r{v} = full ^ {ey}\n"
-                        f"    _i{v} = {ex} - 1\n"
-                        f"    {v} = 0\n"
-                        f"    _m{v} = 1\n"
-                        f"    for _row in sel:\n"
-                        f"        if _row[_i{v}] & _r{v} == 0:\n"
-                        f"            {v} |= _m{v}\n"
-                        f"        _m{v} <<= 1\n"
-                        f"else:\n"
-                        f"    {v} = full"))
-                    out = (v, max(lx, ly))
+                    if self.literal(ex) == 0:
+                        out = (str(self.full), 0)  # vacuous case
+                    else:
+                        out = self.statement(("C", ex, ey), max(lx, ly), (
+                            f"if {ex}:\n"
+                            f"    _r{{v}} = {{top}} ^ {ey}\n"
+                            f"    _i{{v}} = {ex} - 1\n"
+                            f"    {{v}} = 0\n"
+                            f"    _m{{v}} = 1\n"
+                            f"    for _row in sel:\n"
+                            f"        if _row[_i{{v}}] & _r{{v}} == 0:\n"
+                            f"            {{v}} |= _m{{v}}\n"
+                            f"        _m{{v}} <<= 1\n"
+                            f"else:\n"
+                            f"    {{v}} = {{top}}"))
                 case _:
                     raise TypeError(f"not a formula node: {f!r}")
-        self.memo[f] = out
+        self.memo[id(f)] = out
+        self.held.append(f)
         return out
 
     def function(self, name: str, result: str) -> Callable[[Frame], object]:
@@ -265,14 +349,12 @@ class _Codegen:
         per metavariable with block i inside loop i, then ``return
         result``. The function is returned without the namespace it was
         executed in, so the two do not form a reference cycle."""
-        lines = [
-            f"def {name}(fr):",
-            "    full = fr.full",
-            "    belief = fr.belief",
-            "    sel = fr.selection",
-        ]
+        lines = [f"def {name}(fr):"]
+        if self.full is None:
+            lines.append("    full = fr.full")
+        lines += ["    belief = fr.belief", "    sel = fr.selection"]
         if self.names:
-            lines.append("    ev = range(full + 1)")
+            lines.append(f"    ev = range({self.top} + 1)")
         pad = "    "
         for line in self.blocks[0]:
             lines.append(pad + line)
@@ -281,25 +363,48 @@ class _Codegen:
             for line in self.blocks[i + 1]:
                 lines.append(pad * (i + 2) + line)
         lines.append(f"    return {result}")
+        # the emission memo is done with; free it before the compile's peak
+        self.memo.clear()
+        self.held.clear()
         ns: dict = {}
         exec("\n".join(lines), ns)
-        return ns.pop(name)
+        fn = ns.pop(name)
+        _LOCAL_NAMES.update(fn.__code__.co_varnames)
+        return fn
+
+
+def _constant_codegen(valuation: Mapping[str, int], n: int) -> _Codegen:
+    full = (1 << n) - 1
+    for name, event in valuation.items():
+        if event & ~full:
+            raise ValueError(f"valuation of {name!r} out of the universe")
+    return _Codegen([], valuation, full)
 
 
 def compile_truth(f: Formula, valuation: Mapping[str, int], n: int) -> Callable[[Frame], int]:
     """Compile a formula to a function Frame -> truth-set mask.
 
     The valuation and state count are fixed at compile time, so atoms
-    become constants and the whole formula one straight-line function.
-    Agrees with truth_set on every frame with n states (a tested
-    property)."""
-    full = (1 << n) - 1
-    for name, event in valuation.items():
-        if event & ~full:
-            raise ValueError(f"valuation of {name!r} out of the universe")
-    cg = _Codegen([], valuation)
-    expr, _ = cg.emit(f)
-    return cg.function("_run", expr)
+    and the universe become constants and the whole formula one
+    straight-line function. Agrees with truth_set on every frame with n
+    states (a tested property)."""
+    cg = _constant_codegen(valuation, n)
+    return cg.function("_run", cg.emit(f)[0])
+
+
+def compile_conjunctions(groups: Iterable[Iterable[Formula]], valuation: Mapping[str, int],
+                         n: int) -> Callable[[Frame], tuple[int, ...]]:
+    """Compile groups of formulas to one function Frame -> tuple of masks,
+    the i-th being the intersection of the truth sets of group i's
+    formulas (the universe for an empty group).
+
+    ``compile_truth`` batched: one function for all the groups, in which
+    a modal subformula shared by several formulas, or with the same value
+    under this valuation, is evaluated once."""
+    cg = _constant_codegen(valuation, n)
+    masks = [" & ".join(dict.fromkeys(cg.emit(f)[0] for f in group)) or str(cg.full)
+             for group in groups]
+    return cg.function("_run", "(" + "".join(f"{mask}, " for mask in masks) + ")")
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@ round-trips."""
 
 import functools
 import json
+import random
 
 import pytest
 
-from artifact import cli, schema
+from artifact import cli, model, schema
 from artifact.cli import main
-from artifact.frame import Frame, check_property, frame_from_json, frame_to_json
+from artifact.frame import Frame, check_property, frame_from_json, frame_to_json, sample_frame
 from artifact.model import make_model, model_to_json, truth_set
-from artifact.formula import parse
+from artifact.formula import And, Atom, Not, parse
 
 # serial two-state frame that fails most selection properties
 LOPSIDED = Frame(2, (1, 3), ((0, 2, 1), (1, 0, 3)))
@@ -153,6 +154,117 @@ def test_check_km_with_bridge(model_path, capsys):
         assert row["agrees"]
     failed = [a for a, row in doc["axioms"].items() if not row["holds"]]
     assert (code == 0) == (not failed)
+
+
+def test_check_km_bridge_refuses_large_models_up_front(tmp_path, monkeypatch, capsys):
+    m = make_model(sample_frame(6, random.Random(0)), {"p": 0b000111, "q": 0b011011,
+                                                       "r": 0b101101})
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(model_to_json(m)))
+
+    def never(*args):
+        raise AssertionError("the formula instances were built")
+
+    monkeypatch.setattr(cli, "km_formula_instances", never)
+    assert main(["check-km", "--model", str(path), "--state", "0", "--bridge"]) == 2
+    err = capsys.readouterr().err
+    assert "6 states" in err and "at most 5" in err
+    # the event-level check alone is cheap at any size
+    assert main(["check-km", "--model", str(path), "--state", "0"]) in (0, 1)
+    capsys.readouterr()
+
+
+class _Reached(Exception):
+    """Raised by a stand-in entry point: the command got past its checks."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def test_correspond_refuses_eight_states_up_front(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_correspondence_suite", _reached)
+    assert main(["correspond", "--states", "8", "--sample", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--states 8" in err and "16,777,216 bindings" in err
+    with pytest.raises(_Reached):
+        main(["correspond", "--states", "7", "--sample", "1"])
+
+
+def test_worlds_check_refuses_four_atoms_up_front(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_worlds_report", _reached)
+    assert main(["worlds-check", "--atoms", "4", "--sample", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--atoms 4" in err and "65,535^3" in err
+    with pytest.raises(_Reached):
+        main(["worlds-check", "--atoms", "3", "--sample", "1"])
+
+
+# -- the event/formula bridge on a few frames ----------------------------------
+
+# success holds at both states of TAME and LOPSIDED and fails at both of
+# SKEWED, which selects {1} for every event
+SKEWED = Frame(2, (1, 1), ((2, 2, 2), (2, 2, 2)))
+BRIDGE_FRAMES = (TAME, LOPSIDED, SKEWED)
+
+
+def _bridge(monkeypatch, frames=BRIDGE_FRAMES):
+    """criterion_formula_bridge on ``frames`` instead of all two-state frames."""
+    monkeypatch.setattr(cli, "enumerate_frames", lambda n: iter(frames))
+    return cli.criterion_formula_bridge()
+
+
+def _record(fr, axiom, state):
+    return {"frame": frame_to_json(fr), "axiom": axiom, "state": state}
+
+
+def test_bridge_compiles_one_function_per_valuation_on_every_call(monkeypatch):
+    sources = []
+    monkeypatch.setattr(model, "exec", lambda src, ns: (sources.append(src), exec(src, ns)),
+                        raising=False)
+    for calls in (1, 2):
+        report = _bridge(monkeypatch)
+        assert len(sources) == 2 * calls
+        assert report == {"ok": True, "checked": 3 * 9 * 2 * 2, "spot_checks": 9,
+                          "disagreements": []}
+
+
+def test_bridge_reports_a_flipped_event_level_verdict(monkeypatch):
+    real = cli.check_km_axiom
+
+    def flipped(m, s, a):
+        holds, cex = real(m, s, a)
+        if (m.frame, a, s) == (LOPSIDED, "K_diamond_5", 1):
+            return not holds, cex
+        return holds, cex
+
+    monkeypatch.setattr(cli, "check_km_axiom", flipped)
+    report = _bridge(monkeypatch)
+    # one record per separating valuation
+    assert report["disagreements"] == [_record(LOPSIDED, "K_diamond_5", 1)] * 2
+    assert report["checked"] == 3 * 9 * 2 * 2 and report["spot_checks"] == 9
+    assert report["ok"] is False
+
+
+def test_bridge_reports_a_false_formula_instance(monkeypatch):
+    real = cli.km_formula_instances
+
+    def swapped(n, valuation):
+        table = real(n, valuation)
+        if valuation == {"p": 0b10}:
+            # B(k{1} > k{1}) becomes a contradiction
+            table["K_diamond_1"][1] = And(Atom("p"), Not(Atom("p")))
+        return table
+
+    monkeypatch.setattr(cli, "km_formula_instances", swapped)
+    report = _bridge(monkeypatch)
+    # the second valuation's K_diamond_1 now fails everywhere, so only the
+    # states where success holds disagree
+    assert report["disagreements"] == [
+        _record(TAME, "K_diamond_1", 0), _record(TAME, "K_diamond_1", 1),
+        _record(LOPSIDED, "K_diamond_1", 0), _record(LOPSIDED, "K_diamond_1", 1)]
+    assert report["checked"] == 3 * 9 * 2 * 2 and report["spot_checks"] == 9
+    assert report["ok"] is False
 
 
 def test_correspond_sampled_two_states(capsys):

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from artifact.formula import And, Atom, Believes, Box, Cond, Implies, Not, Or, parse
+from artifact import model
+from artifact.formula import And, Atom, Believes, Box, Cond, Iff, Implies, Not, Or, parse
 from artifact.frame import Frame, FrameFormatError, check_property, enumerate_frames, sample_frame
 from artifact.model import (
     KM_AXIOM_IDS,
@@ -17,6 +18,7 @@ from artifact.model import (
     characteristic_formula,
     check_km_axiom,
     check_km_axiom_via_formulas,
+    compile_conjunctions,
     compile_truth,
     denotation,
     holds_at,
@@ -252,6 +254,99 @@ def test_compile_truth_errors():
         compile_truth(Believes(mv("ALPHA")), {"p": 1}, 2)
     with pytest.raises(ValueError, match="universe"):
         compile_truth(parse("p"), {"p": 0b100}, 2)
+
+
+# valuations per state count, with atoms denoting the empty event and the
+# universe among them, so that every constant fold is exercised
+BATCH_VALUATIONS = {
+    1: ({"p": 0b1, "q": 0b0}, {"p": 0b0, "q": 0b1}),
+    2: ({"p": 0b01, "q": 0b11}, {"p": 0b10, "q": 0b00}, {"p": 0b01, "q": 0b10}),
+    3: ({"p": 0b011, "q": 0b101}, {"p": 0b111, "q": 0b000}, {"p": 0b001, "q": 0b110}),
+}
+
+
+def _batch_groups(rng: random.Random) -> list[list]:
+    p, q = Atom("p"), Atom("q")
+    nested = [Believes(Cond(p, Box(Or(q, Believes(Not(p)))))),
+              Cond(Believes(Cond(q, p)), Box(Believes(p)))]
+    # a formula twice, a formula with its negation, x <-> x, x -> x,
+    # x & ~x, biconditionals of atoms (folded to one event), and the same
+    # conditional behind a different but equal antecedent
+    fixed = [[nested[0], nested[0]], [nested[1], Not(nested[1])],
+             [Iff(nested[0], nested[0]), Implies(nested[1], nested[1])],
+             [Or(nested[1], And(nested[0], Not(nested[0])))],
+             [Iff(p, q), Believes(Iff(q, Not(p)))],
+             [Cond(And(p, Or(p, q)), q), Cond(p, q)]]
+    return fixed + [[_random_formula(rng, 4) for _ in range(k)] for k in (0, 1, 2, 3, 5)]
+
+
+def test_compile_conjunctions_matches_truth_set():
+    rng = random.Random(5)
+    for n, valuations in BATCH_VALUATIONS.items():
+        frames = [sample_frame(n, rng) for _ in range(25)]
+        full = (1 << n) - 1
+        for val in valuations:
+            groups = _batch_groups(rng)
+            run = compile_conjunctions(groups, val, n)
+            for fr in frames:
+                m = make_model(fr, val)
+                want = []
+                for group in groups:
+                    mask = full
+                    for f in group:
+                        mask &= truth_set(m, f)
+                    want.append(mask)
+                assert run(fr) == tuple(want), (n, val, fr)
+    assert compile_conjunctions([], {"p": 1}, 2)(POINTED) == ()
+    assert compile_conjunctions([[]], {"p": 1}, 2)(POINTED) == (0b11,)
+
+
+def test_compile_conjunctions_errors():
+    from artifact.formula import mv
+    with pytest.raises(UnvaluedAtomError):
+        compile_conjunctions([[parse("p")], [parse("B r")]], {"p": 1}, 2)
+    with pytest.raises(ValueError, match="metavariable"):
+        compile_conjunctions([[Believes(mv("ALPHA"))]], {"p": 1}, 2)
+    with pytest.raises(ValueError, match="universe"):
+        compile_conjunctions([[parse("p")]], {"p": 0b100}, 2)
+
+
+def _bridge_source(monkeypatch, n: int, valuation: dict):
+    """The batched postulate function for ``valuation`` and its source."""
+    sources = []
+    monkeypatch.setattr(model, "exec", lambda src, ns: (sources.append(src), exec(src, ns)),
+                        raising=False)
+    instances = km_formula_instances(n, valuation)
+    run = compile_conjunctions([instances[a] for a in KM_AXIOM_IDS], valuation, n)
+    monkeypatch.undo()
+    assert len(sources) == 1
+    return run, sources[0]
+
+
+def test_bridge_functions_share_one_loop_per_modal_value(monkeypatch):
+    # with the valuation fixed, every characteristic formula folds to its
+    # event, so at n states there is one selection loop per conditional
+    # E > F with E non-empty, (2^n - 1) * 2^n of them, and one belief loop
+    # per B F and per B (E > F)
+    for val in ({"p": 0b01}, {"p": 0b10}):
+        _, src = _bridge_source(monkeypatch, 2, val)
+        assert src.count("for _row in sel:") == 3 * 4
+        assert src.count("for _b in belief:") == 4 + 3 * 4
+
+
+def test_batched_postulates_agree_with_event_level_at_three_states(monkeypatch):
+    val = {"p": 0b011, "q": 0b101}
+    run, src = _bridge_source(monkeypatch, 3, val)
+    assert src.count("for _row in sel:") == 7 * 8
+    assert src.count("for _b in belief:") == 8 + 7 * 8
+    rng = random.Random(3)
+    for _ in range(40):
+        fr = sample_frame(3, rng)
+        m = make_model(fr, val)
+        masks = run(fr)
+        for i, a in enumerate(KM_AXIOM_IDS):
+            for s in range(3):
+                assert bool(masks[i] >> s & 1) == check_km_axiom(m, s, a)[0], (fr, a, s)
 
 
 # -- serialization -----------------------------------------------------------
