@@ -6,8 +6,12 @@ and a non-empty event to an event. Events are int bitmasks over the
 states; no constraint beyond totality is placed on the selection, so a
 selected event may be empty.
 
-The lifted selection U(s, E) is the union of f(s', E) over the states s'
-believed at s; ``Frame.update_row`` gives U(s, ·) as one mask-indexed row.
+``Frame.lift(K, E)`` is the union of f(s', E) over the states s' of a
+belief event K, and the lifted selection U(s, E) is ``lift(belief[s], E)``;
+the accessors reject a state or event outside the frame with ValueError.
+``Frame.update_row`` gives U(s, ·) as one mask-indexed row. A world-level
+update family (``worlds``) is a frame in which every state believes only
+itself, so its lift to a belief set K is ``lift(K, E)``.
 Every update condition the package checks is written here once, as a
 predicate on such a row and its belief event: success, unsurprising,
 consistency, conjunction (◇5), reciprocity (◇6w), disjunction (◇7s),
@@ -96,17 +100,27 @@ class Frame:
     def full(self) -> int:
         return (1 << self.n) - 1
 
+    def _state(self, s: int) -> int:
+        if not 0 <= s < self.n:
+            raise ValueError(f"state {s} out of range")
+        return s
+
     def select(self, s: int, event: int) -> int:
-        if event == 0:
-            raise ValueError("selection is undefined on the empty event")
-        return self.selection[s][event - 1]
+        """f(s, E)."""
+        return self.lift(1 << self._state(s), event)
 
     def update(self, s: int, event: int) -> int:
         """U(s, E): union of selections over the believed states."""
+        return self.lift(self.belief[self._state(s)], event)
+
+    def lift(self, belief: int, event: int) -> int:
+        """Union of f(s', E) over the states s' of a belief event."""
         if event == 0:
             raise ValueError("update is undefined on the empty event")
+        if (belief | event) & ~self.full:  # negative masks included
+            raise ValueError("belief or event out of range")
         out = 0
-        for sp in bits(self.belief[s]):
+        for sp in bits(belief):
             out |= self.selection[sp][event - 1]
         return out
 

@@ -8,14 +8,18 @@ grow: intersecting two theories unions their events, and expanding a
 theory by a proposition intersects its event with that proposition.
 
 A family assigns each world w a total update u(w, E) on non-empty
-events. Lifting to an arbitrary belief event K intersects the updated
-theories of K's worlds, which at event level is the union of their
-result events. The per-world audits and the lifted lemmas run the row
-predicates of ``frame`` (disjunction for the union bound, expansion for
-conditional expansion) on rows picked here: each world's row u(w, ·)
-for the hypothesis, then each belief event's lifted row lift(K, ·) for
-the conclusion. Each lemma checker audits the hypothesis first and
-reports the first violating (K, E, F) triple in ascending mask order.
+events (Katsuno and Mendelzon's update family). It is a ``frame.Frame``
+on the worlds in which every world believes only itself and the table
+u[w][E-1] is the selection, so families are validated, indexed and
+serialized as frames. Lifting to an arbitrary belief event K intersects
+the updated theories of K's worlds, which at event level is the union
+of their result events: ``Frame.lift(K, E)``. The per-world audits and
+the lifted lemmas run the row predicates of ``frame`` (disjunction for
+the union bound, expansion for conditional expansion) on rows picked
+here: each world's row u(w, ·) for the hypothesis, then each belief
+event's lifted row lift(K, ·) for the conclusion. Each lemma checker
+audits the hypothesis first and reports the first violating (K, E, F)
+triple in ascending mask order.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .frame import bits, disjunction, expansion, indices_from_mask, mask_from_indices
+from .frame import (
+    Frame, FrameFormatError, disjunction, expansion, frame_from_json, frame_to_json,
+)
 
 __all__ = [
-    "FamilyFormatError", "WorldSpace", "world_space", "WorldUpdateFamily",
+    "FamilyFormatError", "WorldSpace", "world_space", "update_family",
     "lift_update", "theory_of", "audit_k7", "audit_k9", "LemmaReport",
     "check_lemma_k7s", "check_lemma_k9s", "generate_family",
     "enumerate_families", "family_to_json", "family_from_json",
@@ -35,9 +41,7 @@ __all__ = [
 
 DEFAULT_ATOMS = ("p", "q", "r", "s")
 
-
-class FamilyFormatError(ValueError):
-    """Raised when a serialized update family is malformed."""
+FamilyFormatError = FrameFormatError  # a family document is read as a frame document
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,33 +74,14 @@ def world_space(k: int) -> WorldSpace:
     return WorldSpace(DEFAULT_ATOMS[:k])
 
 
-@dataclass(frozen=True, slots=True)
-class WorldUpdateFamily:
-    """Total table u[w][E-1] over all worlds and non-empty events."""
-
-    space: WorldSpace
-    u: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        w_count, full = self.space.world_count, self.space.full
-        if len(self.u) != w_count:
-            raise ValueError(f"expected {w_count} world rows, got {len(self.u)}")
-        for w, row in enumerate(self.u):
-            if len(row) != full:
-                raise ValueError(f"world {w}: expected {full} event entries")
-            for value in row:
-                if value & ~full:
-                    raise ValueError(f"world {w}: result event out of range")
-
-    def update(self, w: int, event: int) -> int:
-        if event == 0:
-            raise ValueError("empty input event")
-        if event & ~self.space.full or not 0 <= w < self.space.world_count:
-            raise ValueError("world or event out of range")
-        return self.u[w][event - 1]
+def update_family(space: WorldSpace, rows) -> Frame:
+    """The family with table rows[w][E-1]: a frame on the space's worlds
+    in which every world believes only itself."""
+    return Frame(space.world_count,
+                 tuple(1 << w for w in range(space.world_count)), tuple(rows))
 
 
-def lift_update(fam: WorldUpdateFamily, belief: int, event: int) -> int:
+def lift_update(fam: Frame, belief: int, event: int) -> int:
     """Union over the belief event's worlds of their updates.
 
     This is the event-level form of intersecting the updated theories
@@ -106,12 +91,7 @@ def lift_update(fam: WorldUpdateFamily, belief: int, event: int) -> int:
         raise ValueError("empty belief-set event: inconsistent initial beliefs")
     if event == 0:
         raise ValueError("empty input event")
-    if belief & ~fam.space.full:
-        raise ValueError("belief event out of range")
-    out = 0
-    for w in bits(belief):
-        out |= fam.update(w, event)
-    return out
+    return fam.lift(belief, event)
 
 
 def theory_of(space: WorldSpace, belief: int) -> frozenset[int]:
@@ -133,20 +113,20 @@ def _first_violation(condition, rows, full: int):
     return None
 
 
-def _world_rows(fam: WorldUpdateFamily):
-    return ((w, 1 << w, (0, *row)) for w, row in enumerate(fam.u))
+def _world_rows(fam: Frame):
+    return ((w, b, fam.update_row(w)) for w, b in enumerate(fam.belief))
 
 
-def audit_k7(fam: WorldUpdateFamily):
+def audit_k7(fam: Frame):
     """First violation of u(w, E|F) <= u(w,E) | u(w,F), or None."""
-    return _first_violation(disjunction, _world_rows(fam), fam.space.full)
+    return _first_violation(disjunction, _world_rows(fam), fam.full)
 
 
-def audit_k9(fam: WorldUpdateFamily):
+def audit_k9(fam: Frame):
     """First violation of the per-world conditional-expansion bound:
     when E&F is non-empty and u(w,E)&F is non-empty, u(w, E&F) must be
     contained in u(w,E)&F. Returns (w, E, F) or None."""
-    return _first_violation(expansion, _world_rows(fam), fam.space.full)
+    return _first_violation(expansion, _world_rows(fam), fam.full)
 
 
 @dataclass(frozen=True)
@@ -162,20 +142,22 @@ class LemmaReport:
         return self.holds is False
 
 
-def _lift_table(fam: WorldUpdateFamily) -> list[list[int]]:
-    full = fam.space.full
+def _lift_table(fam: Frame) -> list[list[int]]:
+    """lift(K, ·) for every belief event K, each row built from a smaller
+    one. List rows: tuple rows here raise the sweeps' peak memory."""
+    full = fam.full
     table = [[0] * (full + 1)]
     for belief in range(1, full + 1):
         prev = table[belief & (belief - 1)]
-        w_row = fam.u[(belief & -belief).bit_length() - 1]
+        w_row = fam.selection[(belief & -belief).bit_length() - 1]
         table.append([0] + [prev[e] | w_row[e - 1] for e in range(1, full + 1)])
     return table
 
 
-def _check_lemma(fam: WorldUpdateFamily, lemma: str, condition) -> LemmaReport:
+def _check_lemma(fam: Frame, lemma: str, condition) -> LemmaReport:
     """The condition on every world's row first, then on every lifted
     belief event's row lift(K, ·)."""
-    full = fam.space.full
+    full = fam.full
     bad = _first_violation(condition, _world_rows(fam), full)
     if bad is not None:
         return LemmaReport(lemma, False, bad, None, None)
@@ -185,12 +167,12 @@ def _check_lemma(fam: WorldUpdateFamily, lemma: str, condition) -> LemmaReport:
     return LemmaReport(lemma, True, None, cex is None, cex)
 
 
-def check_lemma_k7s(fam: WorldUpdateFamily) -> LemmaReport:
+def check_lemma_k7s(fam: Frame) -> LemmaReport:
     """Lifted union bound: lift(K, E|F) <= lift(K,E) | lift(K,F)."""
     return _check_lemma(fam, "k7s", disjunction)
 
 
-def check_lemma_k9s(fam: WorldUpdateFamily) -> LemmaReport:
+def check_lemma_k9s(fam: Frame) -> LemmaReport:
     """Lifted conditional-expansion bound: when lift(K,E)&F is non-empty,
     lift(K, E&F) <= lift(K,E) & F."""
     return _check_lemma(fam, "k9s", expansion)
@@ -206,7 +188,7 @@ def _ranking_pick(ranking: tuple[int, ...], event: int) -> int:
     raise AssertionError("non-empty event has a ranked world")
 
 
-def generate_family(space: WorldSpace, seed: int, constraint: str = "none") -> WorldUpdateFamily:
+def generate_family(space: WorldSpace, seed: int, constraint: str = "none") -> Frame:
     """Deterministic-per-seed family, optionally hypothesis-satisfying.
 
     constraint="k9" builds each world's update from a total ranking
@@ -233,7 +215,7 @@ def generate_family(space: WorldSpace, seed: int, constraint: str = "none") -> W
             else:
                 raise ValueError(f"unknown constraint {constraint!r}")
         rows.append(tuple(row))
-    return WorldUpdateFamily(space, tuple(rows))
+    return update_family(space, rows)
 
 
 def enumerate_families(space: WorldSpace):
@@ -244,60 +226,37 @@ def enumerate_families(space: WorldSpace):
     w_count, full = space.world_count, space.full
     cells = w_count * full
     for flat in product(range(full + 1), repeat=cells):
-        yield WorldUpdateFamily(
-            space, tuple(flat[w * full:(w + 1) * full] for w in range(w_count)))
+        yield update_family(
+            space, (flat[w * full:(w + 1) * full] for w in range(w_count)))
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: the frame document with "worlds" (an atom count) for
+# "states", entries {w, event, value} under "u", and no belief map
 
-def family_to_json(fam: WorldUpdateFamily) -> dict:
-    entries = []
-    for w in range(fam.space.world_count):
-        for e in range(1, fam.space.full + 1):
-            entries.append({
-                "w": w,
-                "event": indices_from_mask(e),
-                "value": indices_from_mask(fam.u[w][e - 1]),
-            })
-    return {"worlds": len(fam.space.atoms), "u": entries}
+def family_to_json(fam: Frame) -> dict:
+    entries = [{"w": entry["s"], "event": entry["event"], "value": entry["value"]}
+               for entry in frame_to_json(fam)["selection"]]
+    return {"worlds": fam.n.bit_length() - 1, "u": entries}
 
 
-def family_from_json(data: dict) -> WorldUpdateFamily:
+def family_from_json(data: dict) -> Frame:
     if not isinstance(data, dict):
         raise FamilyFormatError("family document must be an object")
     k = data.get("worlds")
     if type(k) is not int or not 1 <= k <= 4:  # bool is an int subclass
         raise FamilyFormatError("'worlds' must be an atom count from 1 to 4")
-    space = world_space(k)
-    w_count, full = space.world_count, space.full
+    w_count = 1 << k
     entries = data.get("u")
     if not isinstance(entries, list):
         raise FamilyFormatError("'u' must be a list of table entries")
-    table: dict[tuple[int, int], int] = {}
+    selection = []
     for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"w", "event", "value"}:
             raise FamilyFormatError("each entry needs exactly w, event, value")
         w = entry["w"]
         if type(w) is not int or not 0 <= w < w_count:
             raise FamilyFormatError(f"world index {w!r} out of range")
-        try:
-            event = mask_from_indices(entry["event"], w_count)
-            value = mask_from_indices(entry["value"], w_count)
-        except ValueError as exc:
-            raise FamilyFormatError(str(exc)) from None
-        if event == 0:
-            raise FamilyFormatError("entries must have non-empty input events")
-        if (w, event) in table:
-            raise FamilyFormatError(f"duplicate entry for world {w}, event {event}")
-        table[(w, event)] = value
-    rows = []
-    for w in range(w_count):
-        row = []
-        for e in range(1, full + 1):
-            if (w, e) not in table:
-                raise FamilyFormatError(
-                    f"table not total: world {w} has no entry for event {e}")
-            row.append(table[(w, e)])
-        rows.append(tuple(row))
-    return WorldUpdateFamily(space, tuple(rows))
+        selection.append({"s": w, "event": entry["event"], "value": entry["value"]})
+    return frame_from_json({"states": w_count, "selection": selection,
+                            "belief": [[w] for w in range(w_count)]})

@@ -165,7 +165,7 @@ def test_union_lifting_lemma_holds():
 
 def _lifted_row(fam, belief):
     """lift(K, E) for every event E, computed through lift_update alone."""
-    return [0] + [lift_update(fam, belief, e) for e in range(1, fam.space.full + 1)]
+    return [0] + [lift_update(fam, belief, e) for e in range(1, fam.full + 1)]
 
 
 def _escapes(row, event, refinement):
@@ -177,7 +177,7 @@ def _escapes(row, event, refinement):
 
 
 def _first_escape(fam, beliefs):
-    full = fam.space.full
+    full = fam.full
     for belief in beliefs:
         row = _lifted_row(fam, belief)
         for e in range(1, full + 1):
@@ -204,7 +204,7 @@ def _describe(label, row, recount, pinned, first):
         for w in bits(belief):
             lines.append(f"  u({w},.): " + " ".join(
                 f"{_show(e)}->{_show(fam.update(w, e))}"
-                for e in range(1, fam.space.full + 1)))
+                for e in range(1, fam.full + 1)))
     return "\n".join(lines)
 
 
@@ -236,7 +236,7 @@ def test_conjunction_lifting_lemma():
             if audit_k9(fam) is not None:
                 continue
             seen += 1
-            singles = [1 << w for w in range(fam.space.world_count)]
+            singles = [1 << w for w in range(fam.n)]
             escape = _first_escape(fam, singles)
             assert escape is None, (label, index, "single-world belief", escape)
             verdict = check_lemma_k9s(fam)
@@ -249,7 +249,7 @@ def test_conjunction_lifting_lemma():
                 if first is None:
                     first = (fam, verdict.counterexample)
             else:
-                escape = _first_escape(fam, range(1, fam.space.full + 1))
+                escape = _first_escape(fam, range(1, fam.full + 1))
                 assert escape is None, (label, index, "unreported violation", escape)
         assert seen == hypothesis, label
 

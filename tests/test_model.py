@@ -125,6 +125,24 @@ def test_update_event_examples():
         update_event(M, 0, 0)
 
 
+# Each state believes only itself. A tuple lookup would wrap a negative
+# state or event round to another one's answer.
+IDENTITY_BELIEF = Frame(2, (1, 2), ((0, 2, 1), (1, 2, 3)))
+
+
+def test_states_and_events_outside_the_frame_are_refused():
+    fr = IDENTITY_BELIEF
+    m = make_model(fr, {"p": 0b01})
+    calls = (fr.update, fr.select, lambda s, e: update_event(m, s, e))
+    for s, event in ((-1, 1), (-1, 3), (0, -1), (2, 1), (0, 4)):
+        for call in calls:
+            with pytest.raises(ValueError, match="out of range"):
+                call(s, event)
+    for belief, event in ((-1, 1), (0b100, 1), (0b11, -1), (0b11, 0b100)):
+        with pytest.raises(ValueError, match="out of range"):
+            fr.lift(belief, event)
+
+
 def test_update_event_stays_in_universe():
     rng = random.Random(6)
     for _ in range(50):

@@ -4,10 +4,10 @@ from itertools import chain, combinations
 
 import pytest
 
+from artifact.frame import Frame, check_property
 from artifact.worlds import (
     FamilyFormatError,
     WorldSpace,
-    WorldUpdateFamily,
     audit_k7,
     audit_k9,
     check_lemma_k7s,
@@ -18,11 +18,13 @@ from artifact.worlds import (
     generate_family,
     lift_update,
     theory_of,
+    update_family,
     world_space,
 )
 
 SP1 = world_space(1)
 SP2 = world_space(2)
+IDENTITY_BELIEFS = {2: (0b01, 0b10), 4: (0b0001, 0b0010, 0b0100, 0b1000)}
 
 
 def ranking_family(space, rankings):
@@ -32,7 +34,7 @@ def ranking_family(space, rankings):
         for e in range(1, space.full + 1):
             row.append(1 << next(w for w in rk if e >> w & 1))
         rows.append(tuple(row))
-    return WorldUpdateFamily(space, tuple(rows))
+    return update_family(space, tuple(rows))
 
 
 # The per-world bounds hold for this family, yet lifting breaks the
@@ -50,14 +52,14 @@ def _events(w_count):
 
 
 def _as_sets(fam):
-    w_count, full = fam.space.world_count, fam.space.full
+    w_count, full = fam.n, fam.full
     unpack = lambda m: frozenset(i for i in range(w_count) if m >> i & 1)
-    return {(w, unpack(e)): unpack(fam.u[w][e - 1])
+    return {(w, unpack(e)): unpack(fam.selection[w][e - 1])
             for w in range(w_count) for e in range(1, full + 1)}
 
 
 def oracle_reports(fam):
-    w_count = fam.space.world_count
+    w_count = fam.n
     tbl = _as_sets(fam)
     evs = _events(w_count)
     k7_hyp = all(tbl[w, e | f] <= tbl[w, e] | tbl[w, f]
@@ -104,7 +106,7 @@ def test_lift_examples():
         for w in range(4):
             assert lift_update(fam, 1 << w, e) == fam.update(w, e)
 
-    identity = WorldUpdateFamily(
+    identity = update_family(
         SP2, tuple(tuple(range(1, 16)) for _ in range(4)))
     for k in range(1, 16):
         for e in range(1, 16):
@@ -113,7 +115,7 @@ def test_lift_examples():
     rows = [[0] * 15 for _ in range(4)]
     rows[0][0b0110 - 1] = 0b0001
     rows[3][0b0110 - 1] = 0b1000
-    two = WorldUpdateFamily(SP2, tuple(tuple(r) for r in rows))
+    two = update_family(SP2, tuple(tuple(r) for r in rows))
     assert lift_update(two, 0b1001, 0b0110) == 0b1001
 
 
@@ -125,7 +127,7 @@ def test_lift_and_update_errors():
         lift_update(fam, 1, 0)
     with pytest.raises(ValueError, match="out of range"):
         lift_update(fam, 0b10000, 1)
-    with pytest.raises(ValueError, match="empty input event"):
+    with pytest.raises(ValueError, match="empty event"):
         fam.update(0, 0)
     with pytest.raises(ValueError, match="out of range"):
         fam.update(4, 1)
@@ -164,12 +166,12 @@ def test_theory_encoding_duality():
 
 
 def test_family_validation_errors():
-    with pytest.raises(ValueError, match="world rows"):
-        WorldUpdateFamily(SP2, ((0,) * 15,) * 3)
-    with pytest.raises(ValueError, match="event entries"):
-        WorldUpdateFamily(SP2, ((0,) * 14,) * 4)
+    with pytest.raises(ValueError, match="cover every state"):
+        update_family(SP2, ((0,) * 15,) * 3)
+    with pytest.raises(ValueError, match="cover every non-empty event"):
+        update_family(SP2, ((0,) * 14,) * 4)
     with pytest.raises(ValueError, match="out of range"):
-        WorldUpdateFamily(SP2, ((0b10000,) + (0,) * 14,) + ((0,) * 15,) * 3)
+        update_family(SP2, ((0b10000,) + (0,) * 14,) + ((0,) * 15,) * 3)
 
 
 # --- audits against the oracle ---------------------------------------------
@@ -188,7 +190,7 @@ def test_checkers_match_set_oracle_exhaustively_at_one_atom():
         counts["k7_hold"] += bool(o7c)
         counts["k9_hyp"] += o9h
         counts["k9_viol"] += o9c is False
-        success = all(fam.u[w][e - 1] & ~e == 0 for w in range(2) for e in (1, 2, 3))
+        success = all(fam.selection[w][e - 1] & ~e == 0 for w in range(2) for e in (1, 2, 3))
         counts["k9_success"] += o9h and success
         counts["k9_success_viol"] += success and o9c is False
     assert total == 4096
@@ -222,14 +224,22 @@ def test_first_counterexamples_match_a_pointwise_scan_at_one_atom():
     full = SP1.full
     worlds, beliefs = range(SP1.world_count), range(1, full + 1)
     for fam in enumerate_families(SP1):
+        assert isinstance(fam, Frame) and fam.belief == IDENTITY_BELIEFS[fam.n]
         lift = partial(lift_update, fam)
         assert audit_k7(fam) == _pointwise_first(worlds, _k7_violation(fam.update), full)
+        assert audit_k7(fam) == check_property(fam, "P_diamond_7s")[1]
         assert audit_k9(fam) == _pointwise_first(worlds, _k9_violation(fam.update), full)
         for report, violation in ((check_lemma_k7s(fam), _k7_violation),
                                   (check_lemma_k9s(fam), _k9_violation)):
             if report.hypothesis_ok:
                 assert report.counterexample == _pointwise_first(
                     beliefs, violation(lift), full), fam
+    for space in (SP1, SP2):
+        for constraint in ("none", "k7", "k9"):
+            fam = generate_family(space, 5, constraint)
+            for made in (fam, family_from_json(family_to_json(fam))):
+                assert isinstance(made, Frame)
+                assert made.belief == IDENTITY_BELIEFS[space.world_count]
 
 
 def test_checkers_match_set_oracle_on_random_two_atom_families():
@@ -244,7 +254,7 @@ def test_checkers_match_set_oracle_on_random_two_atom_families():
 def test_hypothesis_violations_reported_separately():
     rows = [[0] * 15 for _ in range(4)]
     rows[0][0b0011 - 1] = 0b1000  # u(0, {0,1}) = {3}
-    bad7 = WorldUpdateFamily(SP2, tuple(tuple(r) for r in rows))
+    bad7 = update_family(SP2, tuple(tuple(r) for r in rows))
     r7 = check_lemma_k7s(bad7)
     assert not r7.hypothesis_ok and r7.holds is None and r7.counterexample is None
     w, e, f = r7.hypothesis_counterexample
@@ -253,7 +263,7 @@ def test_hypothesis_violations_reported_separately():
     rows = [[0] * 15 for _ in range(4)]
     rows[0][0b0011 - 1] = 0b0001  # u(0, {0,1}) = {0}
     rows[0][0b0001 - 1] = 0b0010  # u(0, {0}) = {1}, escapes u(0,E) & F
-    bad9 = WorldUpdateFamily(SP2, tuple(tuple(r) for r in rows))
+    bad9 = update_family(SP2, tuple(tuple(r) for r in rows))
     r9 = check_lemma_k9s(bad9)
     assert not r9.hypothesis_ok and r9.holds is None
     w, e, f = r9.hypothesis_counterexample
@@ -290,6 +300,38 @@ def test_lifting_breaks_the_conditional_expansion_bound():
     assert report.hypothesis_ok and report.violated
     assert violates_lifted_k9s(LIFT_GAP, report.counterexample)
     assert violates_lifted_k9s(LIFT_GAP, (0b1010, 0b1110, 0b1100))
+
+
+def _km_faithful_family(seed):
+    """Each world comes first in its own ranking, the rest shuffled."""
+    rng = random.Random(seed)
+    rankings = []
+    for w in range(4):
+        rest = [x for x in range(4) if x != w]
+        rng.shuffle(rest)
+        rankings.append((w, *rest))
+    return ranking_family(SP2, rankings)
+
+
+def test_km_faithful_rankings_never_meet_the_lifted_expansion_bound():
+    """KM's faithful case: every family passes the per-world audit, and
+    every one violates lifted conditional expansion at some K."""
+    for seed in range(1_000):
+        fam = _km_faithful_family(seed)
+        assert audit_k9(fam) is None, seed
+        assert check_lemma_k9s(fam).violated, seed
+    report = check_lemma_k9s(_km_faithful_family(0))
+    assert report.counterexample == (3, 7, 5)
+    assert violates_lifted_k9s(_km_faithful_family(0), (3, 7, 5))
+
+
+def test_one_shared_ranking_meets_the_lifted_expansion_bound():
+    """With one ranking for every world, update behaves like revision
+    and the lifted bound holds."""
+    for seed in range(200):
+        ranking = random.Random(seed).sample(range(4), 4)
+        report = check_lemma_k9s(ranking_family(SP2, [ranking] * 4))
+        assert report.hypothesis_ok and report.holds, seed
 
 
 def test_singleton_belief_reduces_lift_to_per_world_bound():
@@ -342,7 +384,7 @@ def test_family_json_rejects_malformed_documents():
         family_from_json({"worlds": 1, "u": good["u"][:-1]})
     with pytest.raises(FamilyFormatError, match="duplicate"):
         family_from_json({"worlds": 1, "u": good["u"] + [good["u"][0]]})
-    with pytest.raises(FamilyFormatError, match="non-empty input"):
+    with pytest.raises(FamilyFormatError, match="empty event"):
         family_from_json({"worlds": 1,
                           "u": good["u"] + [{"w": 0, "event": [], "value": []}]})
     with pytest.raises(FamilyFormatError, match="exactly w, event, value"):
