@@ -69,7 +69,7 @@ from .proofkit import (
     parse_proof_script,
     verify_containment,
 )
-from .schema import run_correspondence_suite, schema_valid_on_frame
+from .schema import LOGICS, run_correspondence_suite, schema_valid_on_frame
 from .worlds import (
     check_lemma_k7s,
     check_lemma_k9s,
@@ -681,14 +681,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove-check", parents=[common],
                        help="validate a proof script (builtin:<id> or a file)")
     p.add_argument("target")
-    p.add_argument("--logic", choices=("L", "KM", "AGM"))
+    p.add_argument("--logic", choices=tuple(LOGICS))
     p.set_defaults(fn=_cmd_prove_check)
 
     p = sub.add_parser("verify-containment", parents=[common],
                        help="account for every update-logic item in the revision logic")
     p.add_argument("--exclude", action="append", default=[],
                    metavar="AXIOM_ID",
-                   help="treat this axiom as unavailable (repeatable)")
+                   help="treat this axiom or rule as unavailable (repeatable)")
     p.set_defaults(fn=_cmd_verify_containment)
 
     p = sub.add_parser("suite", parents=[common],

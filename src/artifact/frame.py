@@ -57,6 +57,8 @@ def indices_from_mask(mask: int) -> list[int]:
 
 
 def mask_from_indices(indices, n: int) -> int:
+    if not isinstance(indices, (list, tuple)):
+        raise FrameFormatError(f"expected a list of state indices, got {indices!r}")
     mask = 0
     for i in indices:
         if type(i) is not int:  # bool is an int subclass but no index

@@ -1,13 +1,24 @@
 """Hilbert-style proof checking for the base logic and its extensions.
 
 A proof script is a numbered list of schema formulas, each carrying a
-justification: a propositional tautology, an axiom instance, modus
-ponens, one of the necessitation or monotonicity rules, a registered
-rule of inference applied to an earlier line, a previously validated
-lemma instance, or a propositional-logic consequence of cited lines
-(``pl``), checked as an implication tautology with modal subformulas
-treated as opaque atoms. Scripts for derived rules open with ``premise``
-lines stating their hypotheses.
+justification: a propositional tautology, an axiom instance, a rule of
+inference applied to earlier lines, a previously validated lemma
+instance, or a propositional-logic consequence of cited lines (``pl``),
+checked as an implication tautology with modal subformulas treated as
+opaque atoms. Scripts for derived rules open with ``premise`` lines
+stating their hypotheses.
+
+Logics are data. ``schema.LOGICS`` names the axioms and rules each logic
+may cite as primitive, and a lemma proved in one logic may be cited in
+another whose items include its own. Every rule is a registry template:
+the keywords ``mp``, ``nec_box``, ``nec_cond``, ``rm_box``, ``rm_b`` and
+``rm_cond`` name the six rules of the base logic, and ``rule <ID>`` names
+any registered rule. All of them are checked the same way: the rule must
+be available (primitive in the script's logic and not excluded, or a
+derived rule of the base logic with a checked script), and its template
+must match the cited lines and the conclusion. For ``nec_cond`` and
+``rm_cond`` the formula after the line number binds GAMMA. Exclusions
+remove axioms and primitive rules alike.
 
 Scripts are checked at the metavariable level: one pass certifies all
 uniform Boolean instances, since every justification kind used here is
@@ -43,7 +54,7 @@ from .formula import (
     Or,
     Atom,
     Schema,
-    _match_implies,
+    _substitute,
     is_boolean,
     is_tautology,
     mv,
@@ -52,7 +63,7 @@ from .formula import (
     parse_schema_text,
     print_formula,
 )
-from .schema import AGM_IDS, KM_IDS, L_CORE_IDS, REGISTRY
+from .schema import KM_IDS, LOGICS, REGISTRY
 
 __all__ = [
     "ProofSyntaxError", "Justification", "ProofLine", "ProofScript",
@@ -72,9 +83,9 @@ class ProofSyntaxError(ValueError):
 class Justification:
     kind: str
     cites: tuple[int, ...] = ()
-    ref: str = ""
+    ref: str = ""  # axiom, lemma or rule id; a rule keyword's registry id
+    # an ax/lemma instantiation, or the formula nec_cond/rm_cond give GAMMA
     binding: tuple[tuple[str, Formula], ...] = ()
-    antecedent: Formula | None = None
 
 
 @dataclass(frozen=True)
@@ -86,7 +97,7 @@ class ProofLine:
 @dataclass(frozen=True)
 class ProofScript:
     id: str
-    logic: str  # "L" | "KM" | "AGM"
+    logic: str  # a key of schema.LOGICS
     lines: tuple[ProofLine, ...]
     target: Formula
 
@@ -107,19 +118,22 @@ class Verdict:
     reason: str | None = None
 
 
-_SCHEMA_AXIOMS = {
-    "L": frozenset(L_CORE_IDS),
-    "KM": frozenset(L_CORE_IDS)
-    | {a for a in KM_IDS if REGISTRY[a].schema is not None},
-    "AGM": frozenset(L_CORE_IDS)
-    | {a for a in AGM_IDS if REGISTRY[a].schema is not None},
-}
-_PRIMITIVE_RULES = {
-    "L": frozenset(),
-    "KM": frozenset({"R_star_5a_diamond_3a", "R_star_6_diamond_4"}),
-    "AGM": frozenset({"R_star_5a_diamond_3a", "R_star_6_diamond_4"}),
-}
-_DERIVED_RULE_IDS = ("RM_not_box_not", "N_B", "RM_B_cond")
+_DERIVED_RULE_IDS = tuple(a for a, info in REGISTRY.items()
+                          if info.rule is not None and info.theorem_of_l)
+
+
+def _keyword_rule(rid: str) -> tuple[str, int, tuple[str, ...]]:
+    """A base rule's id, premise count, and the conclusion metavariables
+    no premise binds (given as formulas after the line numbers)."""
+    rule = REGISTRY[rid].rule
+    bound = set().union(*map(metavariable_names, rule.premises))
+    return rid, len(rule.premises), tuple(sorted(metavariable_names(rule.conclusion) - bound))
+
+
+_KEYWORD_RULES = {kw: _keyword_rule(rid) for kw, rid in (
+    ("mp", "MP"), ("nec_box", "N_box"), ("nec_cond", "N_cond"),
+    ("rm_box", "RM_box"), ("rm_b", "RM_B"), ("rm_cond", "RM_cond"))}
+_LINE_COUNTS = {1: "one line number", 2: "two line numbers"}
 _LOWER_NAMES = {name.lower(): name for name in METAVARIABLES}
 
 
@@ -156,21 +170,15 @@ def _parse_justification(text: str, lineno: int) -> Justification:
             raise ProofSyntaxError(f"malformed {kind} reference", lineno)
         binding = _parse_binding(m.group(3), lineno) if m.group(3) else ()
         return Justification(kind, ref=m.group(1), binding=binding)
-    if kind == "mp":
-        nums = rest.split()
-        if len(nums) != 2 or not all(_INT.match(x) for x in nums):
-            raise ProofSyntaxError("mp needs two line numbers", lineno)
-        return Justification(kind, cites=(int(nums[0]), int(nums[1])))
-    if kind in ("nec_box", "rm_box", "rm_b"):
-        if not _INT.match(rest.strip()):
-            raise ProofSyntaxError(f"{kind} needs one line number", lineno)
-        return Justification(kind, cites=(int(rest),))
-    if kind in ("nec_cond", "rm_cond"):
-        parts = rest.split(None, 1)
-        if len(parts) != 2 or not _INT.match(parts[0]):
-            raise ProofSyntaxError(f"{kind} needs a line number and a formula", lineno)
-        return Justification(kind, cites=(int(parts[0]),),
-                             antecedent=parse_schema_text(parts[1]))
+    if kind in _KEYWORD_RULES:
+        rid, n, free = _KEYWORD_RULES[kind]
+        args = rest.split(None, n)
+        if len(args) != n + len(free) or not all(_INT.match(x) for x in args[:n]):
+            usage = _LINE_COUNTS[n] + (" and a formula" if free else "")
+            raise ProofSyntaxError(f"{kind} needs {usage}", lineno)
+        binding = tuple((name, parse_schema_text(text)) for name, text in zip(free, args[n:]))
+        return Justification(kind, cites=tuple(int(x) for x in args[:n]), ref=rid,
+                             binding=binding)
     if kind == "rule":
         parts = rest.split()
         if len(parts) != 2 or not _INT.match(parts[1]):
@@ -185,8 +193,8 @@ def _parse_justification(text: str, lineno: int) -> Justification:
 
 
 def parse_proof_script(text: str, script_id: str, logic: str) -> ProofScript:
-    if logic not in _SCHEMA_AXIOMS:
-        raise ValueError(f"unknown logic {logic!r}; expected L, KM or AGM")
+    if logic not in LOGICS:
+        raise ValueError(f"unknown logic {logic!r}; expected one of {', '.join(LOGICS)}")
     lines = []
     for raw in text.splitlines():
         raw = raw.strip()
@@ -206,27 +214,26 @@ def parse_proof_script(text: str, script_id: str, logic: str) -> ProofScript:
     return ProofScript(script_id, logic, tuple(lines), lines[-1].formula)
 
 
+def _is_rule_step(j: Justification) -> bool:
+    return j.kind == "rule" or j.kind in _KEYWORD_RULES
+
+
 def _format_justification(j: Justification) -> str:
-    binding = ""
-    if j.binding:
-        binding = " [" + ", ".join(
-            f"{name.lower()}={print_formula(value)}" for name, value in j.binding) + "]"
     match j.kind:
         case "taut" | "premise":
             return j.kind
         case "ax" | "lemma":
+            binding = ""
+            if j.binding:
+                binding = " [" + ", ".join(
+                    f"{name.lower()}={print_formula(value)}" for name, value in j.binding) + "]"
             return f"{j.kind} {j.ref}{binding}"
-        case "mp":
-            return f"mp {j.cites[0]} {j.cites[1]}"
-        case "nec_box" | "rm_box" | "rm_b":
-            return f"{j.kind} {j.cites[0]}"
-        case "nec_cond" | "rm_cond":
-            return f"{j.kind} {j.cites[0]} {print_formula(j.antecedent)}"
-        case "rule":
-            return f"rule {j.ref} {j.cites[0]}"
         case "pl":
             return "pl " + ",".join(str(i) for i in j.cites)
-    raise ValueError(f"unknown justification kind {j.kind!r}")
+    if not _is_rule_step(j):
+        raise ValueError(f"unknown justification kind {j.kind!r}")
+    head = f"rule {j.ref}" if j.kind == "rule" else j.kind
+    return " ".join([head, *map(str, j.cites), *(print_formula(v) for _, v in j.binding)])
 
 
 def format_proof_script(script: ProofScript) -> str:
@@ -291,6 +298,38 @@ def _fail(reason: str):
     return False, reason
 
 
+def _available(ref: str, logic: str, excluded_axioms: frozenset[str]) -> bool:
+    """Whether a script in ``logic`` may cite ``ref`` as a primitive."""
+    return ref in LOGICS[logic] and ref not in excluded_axioms
+
+
+def _check_rule_step(j: Justification, f: Formula, cited: list[Formula], logic: str,
+                     excluded_axioms: frozenset[str]):
+    """Look the rule up, check that it is available, then match its
+    template over every cited premise line and the conclusion ``f``."""
+    info = REGISTRY.get(j.ref)
+    if info is None or info.rule is None:
+        return _fail(f"unknown rule of inference {j.ref!r}")
+    if not (_available(j.ref, logic, excluded_axioms) or j.ref in _DERIVED_RULE_IDS):
+        return _fail(f"rule {j.ref} is not available in logic {logic}")
+    premises = info.rule.premises
+    if len(cited) != len(premises):
+        return _fail(f"rule {j.ref} takes {len(premises)} premise line(s)")
+    env = dict(j.binding)
+    for i, template, formula in zip(j.cites, premises, cited):
+        env = match_template(template, formula, env)
+        if env is None:
+            return _fail(f"line {i} does not match premise {print_formula(template)}"
+                         f" of rule {j.ref}")
+    conclusion = info.rule.conclusion
+    if match_template(conclusion, f, env) is not None:
+        return True, None
+    if metavariable_names(conclusion) <= env.keys():
+        return _fail(f"conclusion does not match rule {j.ref}: expected "
+                     f"{print_formula(_substitute(conclusion, env))}")
+    return _fail(f"conclusion does not match rule {j.ref}")
+
+
 def check_line(script: ProofScript, index: int, registry: "ProofRegistry | None" = None,
                excluded_axioms: frozenset[str] = frozenset()):
     """Validate one 1-based proof step. Returns (ok, reason)."""
@@ -315,7 +354,7 @@ def check_line(script: ProofScript, index: int, registry: "ProofRegistry | None"
             info = REGISTRY.get(j.ref)
             if info is None or info.schema is None:
                 return _fail(f"unknown axiom schema {j.ref!r}")
-            if j.ref not in _SCHEMA_AXIOMS[script.logic] or j.ref in excluded_axioms:
+            if not _available(j.ref, script.logic, excluded_axioms):
                 return _fail(f"axiom {j.ref} is not available in logic {script.logic}")
             try:
                 expected = _instance(info.schema.template,
@@ -326,56 +365,13 @@ def check_line(script: ProofScript, index: int, registry: "ProofRegistry | None"
                 return True, None
             return _fail(f"axiom instance mismatch: expected "
                          f"{print_formula(expected)}, got {print_formula(f)}")
-        case "mp":
-            want = Implies(cited[0], f)
-            if cited[1] == want:
-                return True, None
-            return _fail(f"line {j.cites[1]} is not {print_formula(want)}")
-        case "nec_box":
-            if f == Box(cited[0]):
-                return True, None
-            return _fail(f"not the necessitation {print_formula(Box(cited[0]))}")
-        case "nec_cond":
-            want = Cond(j.antecedent, cited[0])
-            if f == want:
-                return True, None
-            return _fail(f"not the conditional weakening {print_formula(want)}")
-        case "rm_box" | "rm_b" | "rm_cond":
-            m = _match_implies(cited[0])
-            if m is None:
-                return _fail(f"line {j.cites[0]} is not an implication")
-            a, b = m
-            if j.kind == "rm_box":
-                want = Implies(Box(a), Box(b))
-            elif j.kind == "rm_b":
-                want = Implies(Believes(a), Believes(b))
-            else:
-                want = Implies(Cond(j.antecedent, a), Cond(j.antecedent, b))
-            if f == want:
-                return True, None
-            return _fail(f"monotonicity mismatch: expected {print_formula(want)}")
-        case "rule":
-            info = REGISTRY.get(j.ref)
-            if info is None or info.rule is None:
-                return _fail(f"unknown rule of inference {j.ref!r}")
-            primitive = j.ref in _PRIMITIVE_RULES[script.logic]
-            derived = j.ref in _DERIVED_RULE_IDS
-            if not primitive and not derived:
-                return _fail(f"rule {j.ref} is not available in logic {script.logic}")
-            env = match_template(info.rule.premises[0], cited[0])
-            if env is None:
-                return _fail(f"line {j.cites[0]} does not match the premise of {j.ref}")
-            env = match_template(info.rule.conclusion, f, env)
-            if env is not None:
-                return True, None
-            return _fail(f"conclusion does not match rule {j.ref}")
         case "lemma":
             dep = registry.script(j.ref) if registry else None
             if dep is None:
                 return _fail(f"unregistered dependency {j.ref!r}")
             if dep.is_rule:
                 return _fail(f"{j.ref} is a rule script; cite it with 'rule'")
-            if dep.logic not in ("L", script.logic):
+            if not LOGICS[dep.logic] <= LOGICS[script.logic]:
                 return _fail(f"lemma {j.ref} belongs to logic {dep.logic}")
             try:
                 expected = _instance(dep.target, metavariable_names(dep.target),
@@ -393,6 +389,8 @@ def check_line(script: ProofScript, index: int, registry: "ProofRegistry | None"
             if is_tautology(Implies(premise, f)):
                 return True, None
             return _fail("not a propositional consequence of the cited lines")
+    if _is_rule_step(j):
+        return _check_rule_step(j, f, cited, script.logic, excluded_axioms)
     return _fail(f"unknown justification kind {j.kind!r}")
 
 
@@ -688,21 +686,22 @@ def builtin_scripts() -> tuple[ProofScript, ...]:
 # ---------------------------------------------------------------------------
 # containment
 
-_SHARED_KM_ITEMS = tuple(a for a in KM_IDS if a in AGM_IDS)
-_DERIVED_KM_ITEMS = tuple(a for a in KM_IDS if a not in AGM_IDS)
-
-
 def verify_containment(excluded_axioms: frozenset[str] = frozenset(),
                        registry: ProofRegistry | None = None) -> dict:
     """Account for every update-logic item inside the revision logic:
     the shared schemas and rules by identity, the remaining three
-    axioms by checked derivation."""
+    axioms by checked derivation. ``excluded_axioms`` names registry
+    axioms and rules to treat as unavailable as primitives."""
+    unknown = sorted(a for a in excluded_axioms if a not in REGISTRY)
+    if unknown:
+        raise ValueError(f"cannot exclude unknown axiom id(s): {', '.join(unknown)}")
     registry = registry or builtin_registry()
     items = {}
     for a in KM_IDS:
-        if a in _SHARED_KM_ITEMS:
-            items[a] = {"route": "shared", "ok": a not in excluded_axioms,
-                        "lines": None, "reason": None}
+        if a in LOGICS["AGM"]:
+            excluded = a in excluded_axioms
+            items[a] = {"route": "shared", "ok": not excluded, "lines": None,
+                        "reason": f"{a} is excluded" if excluded else None}
             continue
         script = registry.script(a)
         if script is None or script.logic != "AGM":

@@ -1,4 +1,13 @@
-"""Axiom-schema registry, schema validity on frames, and correspondence.
+"""Axiom-schema registry, the logic table, schema validity on frames, and
+correspondence.
+
+Every axiom and every rule of inference is one registry entry: a formula
+schema or a rule template (premises / conclusion). The six rules of the
+base logic L (``MP``, ``N_box``, ``N_cond``, ``RM_box``, ``RM_B``,
+``RM_cond``) are entries like the update- and revision-logic rules.
+``LOGICS`` maps each logic name to the items it may cite as primitive;
+the update logic (KM) and the revision logic (AGM) are L plus their
+extensions.
 
 A schema is valid on a frame when every instance is true at every state
 of every model based on that frame. Because the schemas restrict their
@@ -14,10 +23,10 @@ drives them. ``compile_schema_checker`` has ``_Codegen`` emit the
 template's clauses inside one loop per metavariable, ordered by first
 occurrence in the template, hoists antecedent conjuncts to the outermost
 loop that binds their metavariables, and prunes the inner loops with a
-zero guard. ``schema_valid_on_frame_generic`` and
-``rule_preserves_validity`` scan the same bindings through
-``denotation``. Both paths report the same first counterexample
-(binding in lexicographic scan order, then lowest state).
+zero guard. ``rule_preserves_validity`` scans the same bindings through
+``denotation``; with no premises it is the reference validity scan for a
+schema. Both paths report the same first counterexample (binding in
+lexicographic scan order, then lowest state).
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from .model import _Codegen, denotation
 
 __all__ = [
     "AxiomInfo", "RuleTemplate", "REGISTRY", "AXIOM_IDS", "L_CORE_IDS",
-    "KM_IDS", "AGM_IDS", "CorrespondencePair", "CORRESPONDENCE_PAIRS",
+    "LOGICS", "KM_IDS", "AGM_IDS", "CorrespondencePair", "CORRESPONDENCE_PAIRS",
     "schema_valid_on_frame", "rule_valid_on_frame",
     "rule_preserves_validity", "compile_schema_checker",
     "correspondence_check", "run_correspondence_suite",
@@ -65,8 +74,6 @@ class AxiomInfo:
     id: str
     schema: Schema | None
     rule: RuleTemplate | None
-    in_km: bool = False       # listed in the update logic's extension
-    in_agm: bool = False      # listed in the revision logic's extension
     theorem_of_l: bool = False
 
 
@@ -87,33 +94,35 @@ _ENTRIES = [
     _schema("C_B", "B ALPHA & B BETA -> B(ALPHA & BETA)"),
     _schema("C_cond", "(GAMMA > ALPHA) & (GAMMA > BETA) -> (GAMMA > (ALPHA & BETA))"),
     _schema("NB", "[]ALPHA -> B ALPHA"),
+    # base-logic rules of inference
+    _rule("MP", ["ALPHA", "ALPHA -> BETA"], "BETA"),
+    _rule("N_box", ["ALPHA"], "[]ALPHA"),
+    _rule("N_cond", ["ALPHA"], "(GAMMA > ALPHA)"),
+    _rule("RM_box", ["ALPHA -> BETA"], "[]ALPHA -> []BETA"),
+    _rule("RM_B", ["ALPHA -> BETA"], "B ALPHA -> B BETA"),
+    _rule("RM_cond", ["ALPHA -> BETA"], "(GAMMA > ALPHA) -> (GAMMA > BETA)"),
     # update-logic axioms (Boolean metavariables)
     _schema("A_star_1_diamond_0",
-            "B(PHI > PSI) & B(PHI > (PSI -> CHI)) -> B(PHI > CHI)",
-            in_km=True, in_agm=True, theorem_of_l=True),
-    _schema("A_star_2_diamond_1", "B(PHI > PHI)", in_km=True, in_agm=True),
-    _schema("A_diamond_2", "B PHI -> (B PSI <-> B(PHI > PSI))", in_km=True),
-    _schema("A_star_5b_diamond_3b",
-            "~[]~PHI & B(PHI > PSI) -> ~B(PHI > ~PSI)", in_km=True, in_agm=True),
+            "B(PHI > PSI) & B(PHI > (PSI -> CHI)) -> B(PHI > CHI)", theorem_of_l=True),
+    _schema("A_star_2_diamond_1", "B(PHI > PHI)"),
+    _schema("A_diamond_2", "B PHI -> (B PSI <-> B(PHI > PSI))"),
+    _schema("A_star_5b_diamond_3b", "~[]~PHI & B(PHI > PSI) -> ~B(PHI > ~PSI)"),
     _schema("A_star_7_diamond_5",
-            "~[]~(PHI & PSI) & B((PHI & PSI) > CHI) -> B(PHI > (PSI -> CHI))",
-            in_km=True, in_agm=True),
+            "~[]~(PHI & PSI) & B((PHI & PSI) > CHI) -> B(PHI > (PSI -> CHI))"),
     _schema("A_diamond_6w",
             "~[]~(PHI & PSI) & B(PHI > PSI) & B(PSI > PHI)"
-            " -> (B(PHI > CHI) <-> B(PSI > CHI))", in_km=True),
+            " -> (B(PHI > CHI) <-> B(PSI > CHI))"),
     _schema("A_diamond_7s",
             "~[]~PHI & ~[]~PSI & B(PHI > CHI) & B(PSI > CHI)"
-            " -> B((PHI | PSI) > CHI)", in_km=True),
+            " -> B((PHI | PSI) > CHI)"),
     # revision-logic extras
-    _schema("A_star_3", "~[]~PHI & B(PHI > PSI) -> B(PHI -> PSI)", in_agm=True),
-    _schema("A_star_4", "~B ~PHI & B(PHI -> PSI) -> B(PHI > PSI)", in_agm=True),
+    _schema("A_star_3", "~[]~PHI & B(PHI > PSI) -> B(PHI -> PSI)"),
+    _schema("A_star_4", "~B ~PHI & B(PHI -> PSI) -> B(PHI > PSI)"),
     _schema("A_star_8_diamond_9s",
-            "~B(PHI > ~PSI) & B(PHI > (PSI -> CHI)) -> B((PHI & PSI) > (PSI & CHI))",
-            in_agm=True),
+            "~B(PHI > ~PSI) & B(PHI > (PSI -> CHI)) -> B((PHI & PSI) > (PSI & CHI))"),
     # rules of inference shared by both extensions
-    _rule("R_star_5a_diamond_3a", ["~PHI"], "B(PHI > PSI)", in_km=True, in_agm=True),
-    _rule("R_star_6_diamond_4", ["PHI <-> PSI"],
-          "B(PHI > CHI) <-> B(PSI > CHI)", in_km=True, in_agm=True),
+    _rule("R_star_5a_diamond_3a", ["~PHI"], "B(PHI > PSI)"),
+    _rule("R_star_6_diamond_4", ["PHI <-> PSI"], "B(PHI > CHI) <-> B(PSI > CHI)"),
     # derived theorems and rules of the base logic
     _schema("C_not_box_not", "~[]~(ALPHA & BETA) -> ~[]~ALPHA", theorem_of_l=True),
     _schema("C_B_inv", "B(ALPHA & BETA) -> B ALPHA & B BETA", theorem_of_l=True),
@@ -129,8 +138,21 @@ _ENTRIES = [
 REGISTRY: dict[str, AxiomInfo] = {e.id: e for e in _ENTRIES}
 AXIOM_IDS = tuple(REGISTRY)
 L_CORE_IDS = ("D_B", "C_box", "C_B", "C_cond", "NB")
-KM_IDS = tuple(e.id for e in _ENTRIES if e.in_km)
-AGM_IDS = tuple(e.id for e in _ENTRIES if e.in_agm)
+
+# The items each logic may cite as primitive. A lemma proved in logic Y
+# may be cited in logic X when LOGICS[Y] <= LOGICS[X].
+_L_ITEMS = frozenset(L_CORE_IDS + ("MP", "N_box", "N_cond", "RM_box", "RM_B", "RM_cond"))
+_SHARED_ITEMS = frozenset({
+    "A_star_1_diamond_0", "A_star_2_diamond_1", "A_star_5b_diamond_3b",
+    "A_star_7_diamond_5", "R_star_5a_diamond_3a", "R_star_6_diamond_4"})
+LOGICS: dict[str, frozenset[str]] = {
+    "L": _L_ITEMS,
+    "KM": _L_ITEMS | _SHARED_ITEMS | {"A_diamond_2", "A_diamond_6w", "A_diamond_7s"},
+    "AGM": _L_ITEMS | _SHARED_ITEMS | {"A_star_3", "A_star_4", "A_star_8_diamond_9s"},
+}
+# each extension's own items, in registry order
+KM_IDS = tuple(a for a in AXIOM_IDS if a in LOGICS["KM"] and a not in _L_ITEMS)
+AGM_IDS = tuple(a for a in AXIOM_IDS if a in LOGICS["AGM"] and a not in _L_ITEMS)
 
 
 def _info(a: str) -> AxiomInfo:
@@ -245,21 +267,10 @@ def schema_valid_on_frame(fr: Frame, a: str):
     return (cex is None), cex
 
 
-def schema_valid_on_frame_generic(fr: Frame, template: Formula):
-    """Reference implementation of the validity scan (same order)."""
-    names = _scan_names([template])
-    full = fr.full
-    for events in product(range(full + 1), repeat=len(names)):
-        binding = dict(zip(names, events))
-        mask = denotation(fr, template, binding)
-        if mask != full:
-            return False, (binding, _first_false_state(mask, fr.n))
-    return True, None
-
-
 def rule_preserves_validity(fr: Frame, premises, conclusion):
     """Check one rule template on one frame: every event binding that
-    makes all premises valid must make the conclusion valid."""
+    makes all premises valid must make the conclusion valid. With no
+    premises this is the reference validity scan of a schema template."""
     names = _scan_names(list(premises) + [conclusion])
     full = fr.full
     for events in product(range(full + 1), repeat=len(names)):

@@ -123,6 +123,17 @@ def test_frame_check_all_pass(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_frame_check_rejects_non_list_index_fields(tmp_path, capsys):
+    for doc in ({"states": 1, "belief": [[0]],
+                 "selection": [{"s": 0, "event": 1, "value": [0]}]},
+                {"states": 1, "belief": [0],
+                 "selection": [{"s": 0, "event": [0], "value": [0]}]}):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        assert main(["frame-check", "--frame", str(path)]) == 2
+        assert "expected a list of state indices" in capsys.readouterr().err
+
+
 def test_frame_enum_count(capsys):
     assert main(["frame-enum", "--states", "2", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "36864"
@@ -366,6 +377,22 @@ def test_verify_containment_exclusion(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert not doc["items"]["A_diamond_2"]["ok"]
     assert "line 5" in doc["items"]["A_diamond_2"]["reason"]
+
+
+def test_verify_containment_exclusion_covers_rules(capsys):
+    code = main(["verify-containment", "--exclude", "R_star_6_diamond_4"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "R_star_6_diamond_4: shared; FAILED (R_star_6_diamond_4 is excluded)" in out
+    for a in ("A_diamond_6w", "A_diamond_7s"):
+        line = next(ln for ln in out.splitlines() if ln.startswith(f"{a}:"))
+        assert "FAILED" in line and "rule R_star_6_diamond_4 is not available" in line
+
+
+def test_verify_containment_rejects_unknown_exclusions(capsys):
+    assert main(["verify-containment", "--exclude", "A_star_44"]) == 2
+    captured = capsys.readouterr()
+    assert "A_star_44" in captured.err and captured.out == ""
 
 
 def test_out_flag_writes_file(model_path, tmp_path, capsys):

@@ -21,6 +21,7 @@ from artifact.frame import (
     mask_from_indices,
     sample_frame,
 )
+from artifact.model import model_from_json
 from artifact.worlds import (
     FamilyFormatError,
     family_from_json,
@@ -283,4 +284,25 @@ def test_json_rejects_booleans_as_integers(make, load, error, path, value):
     doc = make()
     load(doc)  # the document is valid before the integer becomes a boolean
     with pytest.raises(error):
+        load(_set(doc, path, value))
+
+
+def _one_state_model_doc():
+    return dict(_one_state_doc(), valuation={"p": [0]})
+
+
+@pytest.mark.parametrize("make,load,path", [
+    (_one_state_doc, frame_from_json, ("belief", 0)),
+    (_one_state_doc, frame_from_json, ("selection", 0, "event")),
+    (_one_state_doc, frame_from_json, ("selection", 0, "value")),
+    (_one_state_model_doc, model_from_json, ("belief", 0)),
+    (_one_state_model_doc, model_from_json, ("valuation", "p")),
+    (_one_atom_family_doc, family_from_json, ("u", 0, "event")),
+    (_one_atom_family_doc, family_from_json, ("u", 0, "value")),
+])
+@pytest.mark.parametrize("value", [0, 1, {"0": 0}])
+def test_json_rejects_non_list_index_fields(make, load, path, value):
+    doc = make()
+    load(doc)  # the document is valid before the index list is replaced
+    with pytest.raises(FrameFormatError, match="expected a list of state indices"):
         load(_set(doc, path, value))

@@ -2,11 +2,11 @@
 checkers, mutation rejection, and the containment report."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from artifact.formula import Atom, metavariable_names, parse_schema_text
+from artifact.formula import Atom, metavariable_names, parse_schema_text, print_formula
 from artifact.frame import Frame, PROPERTY_IDS, check_property, sample_frame
 from artifact.model import make_model, truth_set
 from artifact.proofkit import (
@@ -23,6 +23,7 @@ from artifact.proofkit import (
     swap_lines,
     verify_containment,
 )
+from artifact.schema import LOGICS
 
 REGISTRY = builtin_registry()
 
@@ -108,7 +109,7 @@ def _script(text, logic="L", script_id="scratch"):
     ("1. ALPHA -> BETA ; taut", "L", 1, "not a propositional tautology"),
     # modus ponens with the implication and premise swapped
     ("1. ALPHA ; premise\n2. ALPHA -> BETA ; premise\n3. BETA ; mp 2 1",
-     "L", 3, "is not"),
+     "L", 3, "line 1 does not match premise ALPHA -> BETA of rule MP"),
     # axiom id that names a rule
     ("1. B ALPHA ; ax R_star_6_diamond_4", "L", 1, "unknown axiom schema"),
     # revision-only axiom cited from the base logic
@@ -118,14 +119,14 @@ def _script(text, logic="L", script_id="scratch"):
     ("1. B PHI -> ~B ~PSI ; ax D_B [alpha=PHI]", "L", 1, "instance mismatch"),
     # necessitation of the wrong formula
     ("1. PHI | ~PHI ; taut\n2. [](PHI & PHI) ; nec_box 1", "L", 2,
-     "necessitation"),
+     "conclusion does not match rule N_box"),
     # monotonicity applied to a non-implication
     ("1. PHI & PSI ; premise\n2. B(PHI & PSI) -> B PHI ; rm_b 1", "L", 2,
-     "not an implication"),
+     "line 1 does not match premise ALPHA -> BETA of rule RM_B"),
     # conditional monotonicity with a mismatched antecedent
     ("1. PHI -> (PSI -> PHI) ; taut\n"
      "2. (CHI > PHI) -> (PSI > (PSI -> PHI)) ; rm_cond 1 CHI", "L", 2,
-     "monotonicity mismatch"),
+     "conclusion does not match rule RM_cond"),
     # pl citing lines that do not entail the conclusion
     ("1. PHI -> (PSI -> PHI) ; taut\n2. B PHI ; pl 1", "L", 2,
      "not a propositional consequence"),
@@ -134,6 +135,8 @@ def _script(text, logic="L", script_id="scratch"):
     # rule citation whose conclusion does not fit
     ("1. PHI | ~PHI ; taut\n2. B(PHI & PHI) ; rule N_B 1", "L", 2,
      "conclusion does not match"),
+    # a two-premise base rule cited with one premise line
+    ("1. ALPHA ; premise\n2. BETA ; rule MP 1", "L", 2, "takes 2 premise line(s)"),
     # rule unavailable in the base logic
     ("1. PHI <-> PHI ; taut\n"
      "2. B(PHI > PSI) <-> B(PHI > PSI) ; rule R_star_6_diamond_4 1", "L", 2,
@@ -157,12 +160,24 @@ def test_check_line_index_bounds():
         check_line(script, 2, REGISTRY)
 
 
-def test_kripke_lemma_logic_fence():
-    """A lemma proved in the update logic cannot be cited from the
-    revision logic, and vice versa."""
-    text = "1. ~[]~PHI & B(PHI > PSI) -> B(PHI -> PSI) ; lemma A_star_3"
-    ok, reason = check_line(_script(text, "AGM"), 1, REGISTRY)
-    assert not ok and "belongs to logic KM" in reason
+# one builtin theorem script per logic, cited as a lemma below
+LEMMA_OF = {"L": "C_not_box_not", "KM": "A_star_3", "AGM": "A_diamond_2"}
+
+
+@pytest.mark.parametrize("lemma_logic,script_logic", list(product(LOGICS, repeat=2)))
+def test_kripke_lemma_logic_fence(lemma_logic, script_logic):
+    """A lemma from one logic may be cited in another exactly when the
+    first logic's items are among the second's: base-logic lemmas
+    everywhere, update- and revision-logic lemmas only in their own."""
+    dep = REGISTRY.script(LEMMA_OF[lemma_logic])
+    assert dep.logic == lemma_logic and not dep.is_rule
+    text = f"1. {print_formula(dep.target)} ; lemma {dep.id}"
+    ok, reason = check_line(_script(text, script_logic), 1, REGISTRY)
+    allowed = LOGICS[lemma_logic] <= LOGICS[script_logic]
+    assert allowed == (lemma_logic in ("L", script_logic))
+    assert ok == allowed, reason
+    if not ok:
+        assert f"belongs to logic {lemma_logic}" in reason
 
 
 def test_unregistered_dependency():
@@ -259,6 +274,25 @@ def test_containment_rejects_a_script_that_derives_another_formula():
     assert "does not derive" in row["reason"]
     assert not report["ok"]
     assert report["items"]["A_diamond_6w"]["ok"] and report["items"]["A_diamond_7s"]["ok"]
+
+
+def test_containment_exclusions_cover_rules():
+    """Excluding a shared rule fails its shared row and every derivation
+    that cites it, through the swap lemmas."""
+    report = verify_containment(excluded_axioms=frozenset({"R_star_6_diamond_4"}))
+    items = report["items"]
+    assert not report["ok"]
+    assert not items["R_star_6_diamond_4"]["ok"]
+    assert items["R_star_6_diamond_4"]["reason"] == "R_star_6_diamond_4 is excluded"
+    for a in ("A_diamond_6w", "A_diamond_7s"):
+        assert not items[a]["ok"]
+        assert "rule R_star_6_diamond_4 is not available in logic AGM" in items[a]["reason"]
+    assert items["A_diamond_2"]["ok"]
+
+
+def test_containment_rejects_unknown_exclusions():
+    with pytest.raises(ValueError, match="A_star_44"):
+        verify_containment(excluded_axioms=frozenset({"A_star_44"}))
 
 
 def test_containment_depends_on_the_success_axiom():

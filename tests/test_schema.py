@@ -15,6 +15,7 @@ from artifact.schema import (
     CorrespondencePair,
     KM_IDS,
     L_CORE_IDS,
+    LOGICS,
     REGISTRY,
     compile_schema_checker,
     correspondence_check,
@@ -22,7 +23,6 @@ from artifact.schema import (
     rule_valid_on_frame,
     run_correspondence_suite,
     schema_valid_on_frame,
-    schema_valid_on_frame_generic,
 )
 from artifact.formula import instantiate
 
@@ -37,9 +37,16 @@ def stride_frames(step=1103):
     return [fr for i, fr in enumerate(enumerate_frames(2)) if i % step == 0]
 
 
+BASE_RULE_IDS = ("MP", "N_box", "N_cond", "RM_box", "RM_B", "RM_cond")
+
+
 def test_registry_inventory():
-    assert len(AXIOM_IDS) == 23
+    assert len(AXIOM_IDS) == 29
     assert set(L_CORE_IDS) <= set(SCHEMA_IDS)
+    assert set(BASE_RULE_IDS) <= set(RULE_IDS)
+    assert LOGICS["L"] == set(L_CORE_IDS) | set(BASE_RULE_IDS)
+    assert LOGICS["KM"] == LOGICS["L"] | set(KM_IDS)
+    assert LOGICS["AGM"] == LOGICS["L"] | set(AGM_IDS)
     assert len(KM_IDS) == 9
     assert len(AGM_IDS) == 9
     shared = set(KM_IDS) & set(AGM_IDS)
@@ -90,7 +97,7 @@ def test_compiled_matches_generic_on_two_state_stride():
     for a in SCHEMA_IDS:
         tpl = REGISTRY[a].schema.template
         for fr in frames:
-            assert schema_valid_on_frame(fr, a) == schema_valid_on_frame_generic(fr, tpl)
+            assert schema_valid_on_frame(fr, a) == rule_preserves_validity(fr, (), tpl)
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,7 +106,7 @@ def test_compiled_matches_generic_on_sampled_three_state(seed, pick):
     fr = sample_frame(3, random.Random(seed))
     a = SCHEMA_IDS[pick]
     tpl = REGISTRY[a].schema.template
-    assert schema_valid_on_frame(fr, a) == schema_valid_on_frame_generic(fr, tpl)
+    assert schema_valid_on_frame(fr, a) == rule_preserves_validity(fr, (), tpl)
 
 
 def test_event_instantiation_matches_formula_semantics():
@@ -120,6 +127,9 @@ def test_event_instantiation_matches_formula_semantics():
 
 
 def test_shared_rules_are_validity_preserving_everywhere():
+    # every registered rule: the six base-logic rules, the two shared by
+    # the update and revision logics, and the derived rules of L
+    assert set(BASE_RULE_IDS) <= set(RULE_IDS)
     for fr in stride_frames():
         for r in RULE_IDS:
             ok, cex = rule_valid_on_frame(fr, r)
