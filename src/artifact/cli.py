@@ -47,6 +47,7 @@ from .frame import (
     frame_from_json,
     frame_to_json,
     indices_from_mask,
+    modal_tables,
     sample_frame,
 )
 from .model import (
@@ -386,9 +387,10 @@ def criterion_formula_bridge() -> dict:
     frame, for both separating one-atom valuations.
 
     Each valuation's instances compile to one function that returns, for
-    every postulate, the states where all of its instances hold; the
-    first valuation's instance table also serves the spot checks through
-    the per-model evaluator."""
+    every postulate, the states where all of its instances hold; both
+    functions read one build of the frame's modal tables. The first
+    valuation's instance table also serves the spot checks through the
+    per-model evaluator."""
     tables = [km_formula_instances(2, valuation) for valuation in _SEPARATING]
     compiled = [compile_conjunctions([table[a] for a in KM_AXIOM_IDS], valuation, 2)
                 for table, valuation in zip(tables, _SEPARATING)]
@@ -397,7 +399,8 @@ def criterion_formula_bridge() -> dict:
     spot_checks = 0
     for index, fr in enumerate(enumerate_frames(2)):
         m = make_model(fr, _SEPARATING[0])
-        masks = [run(fr) for run in compiled]
+        tab = modal_tables(fr)
+        masks = [run(fr, tab) for run in compiled]
         for i, a in enumerate(KM_AXIOM_IDS):
             for s in (0, 1):
                 event_level = check_km_axiom(m, s, a)[0]
@@ -688,7 +691,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="account for every update-logic item in the revision logic")
     p.add_argument("--exclude", action="append", default=[],
                    metavar="AXIOM_ID",
-                   help="treat this axiom or rule as unavailable (repeatable)")
+                   help="treat this primitive axiom or rule as unavailable (repeatable)")
     p.set_defaults(fn=_cmd_verify_containment)
 
     p = sub.add_parser("suite", parents=[common],

@@ -21,6 +21,11 @@ frame, ``model.check_km_axiom`` on one state's row, and ``worlds`` on
 each world's row and on each lifted belief event's row. Counterexamples
 come in a fixed scan order (rows ascending, then event masks ascending,
 pairs in lexicographic order).
+
+``modal_tables`` gives the frame's two modal operators as tables over
+event masks: where B X holds for every event X, and where E > F holds
+for every pair of events. Every compiled truth function reads its modal
+nodes from them.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ from operator import or_
 
 __all__ = [
     "Frame", "FrameFormatError", "PROPERTY_IDS", "bits", "mask_from_indices",
-    "indices_from_mask", "check_property", "frame_count", "enumerate_frames",
-    "sample_frame", "frame_to_json", "frame_from_json", "success",
-    "unsurprising", "consistency", "conjunction", "reciprocity", "disjunction",
-    "expansion", "vacuity",
+    "indices_from_mask", "modal_tables", "check_property", "frame_count",
+    "enumerate_frames", "sample_frame", "frame_to_json", "frame_from_json",
+    "success", "unsurprising", "consistency", "conjunction", "reciprocity",
+    "disjunction", "expansion", "vacuity",
 ]
 
 
@@ -134,6 +139,33 @@ class Frame:
         for sp in believed:
             row = tuple(map(or_, row, self.selection[sp]))
         return (0, *row)
+
+
+def _inclusion_row(events, full: int) -> list[int]:
+    """Entry x: the states s with events[s] inside x. Each state is set
+    in the entries of the supersets of its event only, so the build
+    costs one step per entry it sets."""
+    row = [0] * (full + 1)
+    m = 1
+    for v in events:
+        x = v
+        while x <= full:  # the supersets of v, ascending
+            row[x] |= m
+            x = (x + 1) | v
+        m <<= 1
+    return row
+
+
+def modal_tables(fr: Frame) -> tuple[list[int], list[list[int]]]:
+    """The modal values of a frame, indexed by event masks: ``bel[x]`` is
+    where B X holds, the states whose belief lies inside x, and
+    ``cnd[e][f]`` where E > F holds, the states s with f(s, E) inside F.
+    ``cnd[0]`` is the vacuous row, the universe for every F."""
+    full = fr.full
+    bel = _inclusion_row(fr.belief, full)
+    cnd = [[full] * (full + 1)] + [_inclusion_row(column, full)
+                                   for column in zip(*fr.selection)]
+    return bel, cnd
 
 
 def _scan_events(n: int):
@@ -247,17 +279,19 @@ _CONDITIONS = {
 PROPERTY_IDS = tuple(_CONDITIONS)
 
 
-def check_property(fr: Frame, prop_id: str):
+def check_property(fr: Frame, prop_id: str, rows=None):
     """Returns (holds, counterexample): the property's row predicate on
     every state's row U(s, ·). The counterexample is (s, E) or (s, E, F)
-    with events as masks, the first one in scan order."""
+    with events as masks, the first one in scan order. ``rows``, when
+    given, holds ``fr.update_row(s)`` for every state s, so that several
+    properties of one frame share them."""
     try:
         condition = _CONDITIONS[prop_id]
     except KeyError:
         raise ValueError(f"unknown frame property {prop_id!r}") from None
     full = fr.full
     for s, b in enumerate(fr.belief):
-        cex = condition(fr.update_row(s), b, full)
+        cex = condition(fr.update_row(s) if rows is None else rows[s], b, full)
         if cex is not None:
             return False, (s, *cex)
     return True, None

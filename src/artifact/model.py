@@ -11,16 +11,18 @@ The clauses are written twice, once per way of running them.
 ``denotation`` is the recursive reference: it evaluates a formula on a
 frame with atoms and schema metavariables alike looked up in one
 mapping to events, and ``truth_set`` is it under a model's valuation.
-``_Codegen`` emits the same clauses as Python source, and every
-compiler builds on it: ``schema.compile_schema_checker`` for
-whole-frame schema validity scans, and ``compile_truth`` and
-``compile_conjunctions`` for concrete formulas under a fixed valuation
-and state count. The last two know the universe at compile time, so
-``_Codegen`` writes it as a literal and folds every node whose value no
-longer depends on the frame; a characteristic formula becomes its
-event. Modal statements are emitted once per distinct operand text, so
+``_Codegen`` emits the same clauses as Python source, with the two
+modal clauses as lookups into the frame's ``modal_tables`` (B a is
+``bel[den(a)]``, a > b is ``cnd[den(a)][den(b)]``), so no generated
+function scans the belief map or the selection. Every compiler builds on
+it: ``schema.compile_schema_checker`` for whole-frame schema validity
+scans, and ``compile_truth`` and ``compile_conjunctions`` for concrete
+formulas under a fixed valuation and state count. The last two know the
+universe at compile time, so ``_Codegen`` writes it as a literal and
+folds every node whose value no longer depends on the frame; a
+characteristic formula becomes its event. Modal statements are emitted once per distinct operand text, so
 ``compile_conjunctions``, which compiles groups of formulas into one
-function returning each group's intersection of truth sets, evaluates
+function returning each group's intersection of truth sets, looks up
 each distinct conditional and belief only once per frame: the
 event/formula bridge compiles one such function per valuation for all
 of a postulate table's instances.
@@ -59,7 +61,7 @@ from .formula import (
 )
 from .frame import (Frame, FrameFormatError, bits, conjunction, consistency, disjunction,
                     frame_from_json, frame_to_json, indices_from_mask, mask_from_indices,
-                    reciprocity, success, unsurprising)
+                    modal_tables, reciprocity, success, unsurprising)
 
 __all__ = [
     "Model", "BeliefState", "UnvaluedAtomError", "NonSeparatingValuationError",
@@ -190,13 +192,14 @@ _LOCAL_NAMES: set[str] = set()
 
 
 class _Codegen:
-    """Emits the truth clauses as Python source over the locals ``belief``
-    and ``sel`` of the generated function, and ``full`` unless the
-    universe is given. Metavariable ``names[i]`` is the loop variable
+    """Emits the truth clauses as Python source over the locals ``bel``
+    and ``cnd`` of the generated function, the frame's modal tables, and
+    ``full`` unless the universe is given. B x is ``bel[x]`` and x > y
+    is ``cnd[x][y]``. Metavariable ``names[i]`` is the loop variable
     ``e_i``, and every expression carries its level: how many of those
     loops it sits inside. Modal nodes become statements in their level's
     block, one per distinct text of their operands, so formulas with the
-    same value share one loop; Boolean nodes stay expressions. A concrete
+    same value share one lookup; Boolean nodes stay expressions. A concrete
     atom is its event in ``valuation``.
 
     With the universe ``full`` given, it is written as a literal, and
@@ -313,46 +316,32 @@ class _Codegen:
                                              f"{{v}} = {{top}} if {ex} == {{top}} else 0")
                 case Believes(child):
                     ex, lx = self.emit(child)
-                    out = self.statement(("B", ex), lx, (
-                        f"_r{{v}} = {{top}} ^ {ex}\n"
-                        f"{{v}} = 0\n"
-                        f"_m{{v}} = 1\n"
-                        f"for _b in belief:\n"
-                        f"    if _b & _r{{v}} == 0:\n"
-                        f"        {{v}} |= _m{{v}}\n"
-                        f"    _m{{v}} <<= 1"))
+                    out = self.statement(("B", ex), lx, f"{{v}} = bel[{ex}]")
                 case Cond(antecedent, consequent):
                     (ex, lx), (ey, ly) = self.emit(antecedent), self.emit(consequent)
                     if self.literal(ex) == 0:
                         out = (str(self.full), 0)  # vacuous case
                     else:
-                        out = self.statement(("C", ex, ey), max(lx, ly), (
-                            f"if {ex}:\n"
-                            f"    _r{{v}} = {{top}} ^ {ey}\n"
-                            f"    _i{{v}} = {ex} - 1\n"
-                            f"    {{v}} = 0\n"
-                            f"    _m{{v}} = 1\n"
-                            f"    for _row in sel:\n"
-                            f"        if _row[_i{{v}}] & _r{{v}} == 0:\n"
-                            f"            {{v}} |= _m{{v}}\n"
-                            f"        _m{{v}} <<= 1\n"
-                            f"else:\n"
-                            f"    {{v}} = {{top}}"))
+                        out = self.statement(("C", ex, ey), max(lx, ly),
+                                             f"{{v}} = cnd[{ex}][{ey}]")
                 case _:
                     raise TypeError(f"not a formula node: {f!r}")
         self.memo[id(f)] = out
         self.held.append(f)
         return out
 
-    def function(self, name: str, result: str) -> Callable[[Frame], object]:
-        """``def name(fr)``: block 0, then one loop over the frame's events
-        per metavariable with block i inside loop i, then ``return
-        result``. The function is returned without the namespace it was
-        executed in, so the two do not form a reference cycle."""
-        lines = [f"def {name}(fr):"]
+    def function(self, name: str, result: str) -> Callable[..., object]:
+        """``def name(fr, tab=None)``: block 0, then one loop over the
+        frame's events per metavariable with block i inside loop i, then
+        ``return result``. ``tab`` is ``modal_tables(fr)``, built by the
+        function when not given, so that callers running several
+        functions on one frame build it once. The function is returned
+        without the namespace it was executed in, so the two do not form
+        a reference cycle."""
+        lines = [f"def {name}(fr, tab=None):"]
         if self.full is None:
             lines.append("    full = fr.full")
-        lines += ["    belief = fr.belief", "    sel = fr.selection"]
+        lines.append("    bel, cnd = modal_tables(fr) if tab is None else tab")
         if self.names:
             lines.append(f"    ev = range({self.top} + 1)")
         pad = "    "
@@ -366,7 +355,7 @@ class _Codegen:
         # the emission memo is done with; free it before the compile's peak
         self.memo.clear()
         self.held.clear()
-        ns: dict = {}
+        ns: dict = {"modal_tables": modal_tables}
         exec("\n".join(lines), ns)
         fn = ns.pop(name)
         _LOCAL_NAMES.update(fn.__code__.co_varnames)
@@ -381,8 +370,9 @@ def _constant_codegen(valuation: Mapping[str, int], n: int) -> _Codegen:
     return _Codegen([], valuation, full)
 
 
-def compile_truth(f: Formula, valuation: Mapping[str, int], n: int) -> Callable[[Frame], int]:
-    """Compile a formula to a function Frame -> truth-set mask.
+def compile_truth(f: Formula, valuation: Mapping[str, int], n: int) -> Callable[..., int]:
+    """Compile a formula to a function (Frame, tab=None) -> truth-set
+    mask, ``tab`` being the frame's ``modal_tables`` when given.
 
     The valuation and state count are fixed at compile time, so atoms
     and the universe become constants and the whole formula one
@@ -393,14 +383,14 @@ def compile_truth(f: Formula, valuation: Mapping[str, int], n: int) -> Callable[
 
 
 def compile_conjunctions(groups: Iterable[Iterable[Formula]], valuation: Mapping[str, int],
-                         n: int) -> Callable[[Frame], tuple[int, ...]]:
-    """Compile groups of formulas to one function Frame -> tuple of masks,
-    the i-th being the intersection of the truth sets of group i's
-    formulas (the universe for an empty group).
+                         n: int) -> Callable[..., tuple[int, ...]]:
+    """Compile groups of formulas to one function (Frame, tab=None) ->
+    tuple of masks, the i-th being the intersection of the truth sets of
+    group i's formulas (the universe for an empty group).
 
     ``compile_truth`` batched: one function for all the groups, in which
     a modal subformula shared by several formulas, or with the same value
-    under this valuation, is evaluated once."""
+    under this valuation, is looked up once."""
     cg = _constant_codegen(valuation, n)
     masks = [" & ".join(dict.fromkeys(cg.emit(f)[0] for f in group)) or str(cg.full)
              for group in groups]

@@ -690,11 +690,15 @@ def verify_containment(excluded_axioms: frozenset[str] = frozenset(),
                        registry: ProofRegistry | None = None) -> dict:
     """Account for every update-logic item inside the revision logic:
     the shared schemas and rules by identity, the remaining three
-    axioms by checked derivation. ``excluded_axioms`` names registry
-    axioms and rules to treat as unavailable as primitives."""
-    unknown = sorted(a for a in excluded_axioms if a not in REGISTRY)
-    if unknown:
-        raise ValueError(f"cannot exclude unknown axiom id(s): {', '.join(unknown)}")
+    axioms by checked derivation. ``excluded_axioms`` names axioms and
+    rules to treat as unavailable as primitives; an id that no logic
+    cites as primitive (unknown, or derived, which every script may use
+    anyway) raises ValueError, since excluding it would change nothing."""
+    primitive = frozenset().union(*LOGICS.values())
+    unusable = sorted(a for a in excluded_axioms if a not in primitive)
+    if unusable:
+        raise ValueError(f"cannot exclude {', '.join(unusable)}: "
+                         "not a primitive item of any logic")
     registry = registry or builtin_registry()
     items = {}
     for a in KM_IDS:

@@ -23,7 +23,10 @@ drives them. ``compile_schema_checker`` has ``_Codegen`` emit the
 template's clauses inside one loop per metavariable, ordered by first
 occurrence in the template, hoists antecedent conjuncts to the outermost
 loop that binds their metavariables, and prunes the inner loops with a
-zero guard. ``rule_preserves_validity`` scans the same bindings through
+zero guard. Every modal node is a lookup into the frame's
+``modal_tables``, built once per frame and shared by all the checkers of
+a correspondence sweep, so no binding rescans the belief map or the
+selection. ``rule_preserves_validity`` scans the same bindings through
 ``denotation``; with no premises it is the reference validity scan for a
 schema. Both paths report the same first counterexample (binding in
 lexicographic scan order, then lowest state).
@@ -51,7 +54,8 @@ from .formula import (
     metavariable_names,
     parse_schema_text,
 )
-from .frame import Frame, check_property, enumerate_frames, frame_to_json, sample_frame
+from .frame import (Frame, check_property, enumerate_frames, frame_to_json, modal_tables,
+                    sample_frame)
 from .model import _Codegen, denotation
 
 __all__ = [
@@ -199,12 +203,13 @@ def _flatten_and(f: Formula) -> list[Formula]:
     return _flatten_and(m[0]) + _flatten_and(m[1])
 
 
-def compile_schema_checker(template: Formula) -> Callable[[Frame], tuple[dict, int] | None]:
+def compile_schema_checker(template: Formula) -> Callable[..., tuple[dict, int] | None]:
     """Build a specialized validity scanner for one schema template.
 
-    The result maps a frame to None (valid) or the first counterexample
-    (metavariable binding, state), scanning bindings lexicographically in
-    first-occurrence metavariable order with events ascending.
+    The result maps a frame, and optionally its ``modal_tables``, to None
+    (valid) or the first counterexample (metavariable binding, state),
+    scanning bindings lexicographically in first-occurrence metavariable
+    order with events ascending.
     """
     names = _scan_names([template])
     if not names:
@@ -249,7 +254,7 @@ def compile_schema_checker(template: Formula) -> Callable[[Frame], tuple[dict, i
 _COMPILED: dict[str, Callable] = {}
 
 
-def _compiled_checker(a: str) -> Callable[[Frame], tuple[dict, int] | None]:
+def _compiled_checker(a: str) -> Callable[..., tuple[dict, int] | None]:
     fn = _COMPILED.get(a)
     if fn is None:
         fn = _COMPILED[a] = compile_schema_checker(_info(a).schema.template)
@@ -356,10 +361,12 @@ def run_correspondence_suite(n: int, mode: str = "exhaustive", count: int = 10_0
     total = 0
     for fr in frames:
         total += 1
+        rows = [fr.update_row(s) for s in range(fr.n)]
+        tab = modal_tables(fr)
         valid_here = {}
         for p in pairs:
-            prop = True if p.property is None else check_property(fr, p.property)[0]
-            valid = checkers[p.axiom](fr) is None
+            prop = True if p.property is None else check_property(fr, p.property, rows)[0]
+            valid = checkers[p.axiom](fr, tab) is None
             valid_here[p.axiom] = valid
             row = stats[p.axiom]
             row["property_count"] += prop

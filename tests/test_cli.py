@@ -395,6 +395,12 @@ def test_verify_containment_rejects_unknown_exclusions(capsys):
     assert "A_star_44" in captured.err and captured.out == ""
 
 
+def test_verify_containment_refuses_derived_exclusions(capsys):
+    assert main(["verify-containment", "--exclude", "RM_B_cond"]) == 2
+    captured = capsys.readouterr()
+    assert "RM_B_cond" in captured.err and captured.out == ""
+
+
 def test_out_flag_writes_file(model_path, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["eval", "--model", model_path, "--state", "0",

@@ -343,20 +343,22 @@ def _bridge_source(monkeypatch, n: int, valuation: dict):
 
 def test_bridge_functions_share_one_loop_per_modal_value(monkeypatch):
     # with the valuation fixed, every characteristic formula folds to its
-    # event, so at n states there is one selection loop per conditional
-    # E > F with E non-empty, (2^n - 1) * 2^n of them, and one belief loop
-    # per B F and per B (E > F)
+    # event, so at n states there is one conditional-table lookup per
+    # conditional E > F with E non-empty, (2^n - 1) * 2^n of them, and one
+    # belief-table lookup per B F and per B (E > F)
     for val in ({"p": 0b01}, {"p": 0b10}):
         _, src = _bridge_source(monkeypatch, 2, val)
-        assert src.count("for _row in sel:") == 3 * 4
-        assert src.count("for _b in belief:") == 4 + 3 * 4
+        assert src.count("cnd[") == 3 * 4
+        assert src.count("bel[") == 4 + 3 * 4
+        assert "for " not in src
 
 
 def test_batched_postulates_agree_with_event_level_at_three_states(monkeypatch):
     val = {"p": 0b011, "q": 0b101}
     run, src = _bridge_source(monkeypatch, 3, val)
-    assert src.count("for _row in sel:") == 7 * 8
-    assert src.count("for _b in belief:") == 8 + 7 * 8
+    assert src.count("cnd[") == 7 * 8
+    assert src.count("bel[") == 8 + 7 * 8
+    assert "for " not in src
     rng = random.Random(3)
     for _ in range(40):
         fr = sample_frame(3, rng)

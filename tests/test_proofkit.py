@@ -295,6 +295,13 @@ def test_containment_rejects_unknown_exclusions():
         verify_containment(excluded_axioms=frozenset({"A_star_44"}))
 
 
+@pytest.mark.parametrize("item", ["RM_B_cond", "C_not_box_not"])
+def test_containment_refuses_exclusions_that_cannot_bite(item):
+    # derived items are cited freely, so excluding one would still report ok
+    with pytest.raises(ValueError, match=item):
+        verify_containment(excluded_axioms=frozenset({item}))
+
+
 def test_containment_depends_on_the_success_axiom():
     report = verify_containment(excluded_axioms=frozenset({"A_star_4"}))
     row = report["items"]["A_diamond_2"]

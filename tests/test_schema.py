@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.formula import Atom, parse, parse_schema_text
-from artifact.frame import Frame, check_property, enumerate_frames, frame_to_json, sample_frame
+from artifact.frame import (Frame, check_property, enumerate_frames, frame_to_json,
+                            modal_tables, sample_frame)
 from artifact.model import UnvaluedAtomError, compile_truth, denotation, make_model, truth_set
 from artifact.schema import (
     AGM_IDS,
@@ -107,6 +108,30 @@ def test_compiled_matches_generic_on_sampled_three_state(seed, pick):
     a = SCHEMA_IDS[pick]
     tpl = REGISTRY[a].schema.template
     assert schema_valid_on_frame(fr, a) == rule_preserves_validity(fr, (), tpl)
+
+
+def _table_frames():
+    rng = random.Random(8)
+    return stride_frames(211) + [sample_frame(3, rng) for _ in range(200)]
+
+
+def test_modal_tables_match_the_truth_clauses():
+    believes, cond = parse_schema_text("B PHI"), parse_schema_text("(PHI > PSI)")
+    for fr in _table_frames():
+        bel, cnd = modal_tables(fr)
+        events = range(fr.full + 1)
+        assert bel == [denotation(fr, believes, {"PHI": x}) for x in events], fr
+        assert cnd == [[denotation(fr, cond, {"PHI": e, "PSI": f}) for f in events]
+                       for e in events], fr
+
+
+def test_compiled_checkers_agree_with_and_without_shared_tables():
+    checkers = [compile_schema_checker(REGISTRY[a].schema.template) for a in SCHEMA_IDS]
+    for fr in _table_frames():
+        tab = modal_tables(fr)
+        for a, check in zip(SCHEMA_IDS, checkers):
+            assert check(fr, tab) == check(fr), (a, fr)
+        assert tab == modal_tables(fr), fr  # no checker writes to the shared tables
 
 
 def test_event_instantiation_matches_formula_semantics():
