@@ -434,24 +434,39 @@ def is_tautology(f: Formula, max_atoms: int = 20) -> bool:
     """Truth-table check treating B/[]/> subformulas as opaque atoms.
 
     This decides "has the form of a classical tautology", which is the
-    only sense of tautology the base logic's proof rule needs.
+    only sense of tautology the base logic's proof rule needs. The whole
+    table is decided in one tree walk: opaque atom i is its truth-table
+    column, an int whose bit r is bit i of the row number r, so ``Not``
+    complements a column and ``Or`` unites two, and f is a tautology iff
+    its column has every row set.
     """
     leaves = opaque_atoms(f)
     if len(leaves) > max_atoms:
         raise TautologyBudgetError(
             f"{len(leaves)} opaque atoms exceed the bound of {max_atoms}")
-    index = {leaf: i for i, leaf in enumerate(leaves)}
+    rows = 1 << len(leaves)
+    full = (1 << rows) - 1
+    column = {}
+    for i, leaf in enumerate(leaves):
+        # rows w..2w-1 of each 2w-row block, w = 2**i, copied by doubling
+        w = 1 << i
+        col = ((1 << w) - 1) << w
+        width = 2 * w
+        while width < rows:
+            col |= col << width
+            width *= 2
+        column[leaf] = col
 
-    def ev(g: Formula, row: int) -> bool:
+    def ev(g: Formula) -> int:
         match g:
             case Not(child):
-                return not ev(child, row)
+                return full ^ ev(child)
             case Or(left, right):
-                return ev(left, row) or ev(right, row)
+                return ev(left) | ev(right)
             case _:
-                return bool(row >> index[g] & 1)
+                return column[g]
 
-    return all(ev(f, row) for row in range(1 << len(leaves)))
+    return ev(f) == full
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,8 @@ from .frame import (Frame, FrameFormatError, bits, conjunction, consistency, dis
                     modal_tables, reciprocity, success, unsurprising)
 
 __all__ = [
-    "Model", "BeliefState", "UnvaluedAtomError", "NonSeparatingValuationError",
-    "make_model", "belief_state", "denotation", "truth_set", "holds_at", "update_event",
+    "Model", "UnvaluedAtomError", "NonSeparatingValuationError",
+    "make_model", "denotation", "truth_set", "holds_at", "update_event",
     "KM_AXIOM_IDS", "check_km_axiom", "characteristic_formula",
     "km_formula_instances", "check_km_axiom_via_formulas", "compile_truth",
     "compile_conjunctions",
@@ -103,17 +103,6 @@ def make_model(frame: Frame, valuation: Mapping[str, int]) -> Model:
             raise ValueError(f"valuation of {name!r} out of the frame's universe")
         items.append((name, event))
     return Model(frame, tuple(items))
-
-
-@dataclass(frozen=True, slots=True)
-class BeliefState:
-    model: Model
-    s: int
-    belief_event: int
-
-
-def belief_state(m: Model, s: int) -> BeliefState:
-    return BeliefState(m, s, m.frame.belief[s])
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ __all__ = [
     "ProofSyntaxError", "Justification", "ProofLine", "ProofScript",
     "Verdict", "parse_proof_script", "format_proof_script", "check_line",
     "check_script", "ProofRegistry", "builtin_scripts", "builtin_registry",
-    "delete_line", "swap_lines", "verify_containment",
+    "delete_line", "verify_containment",
 ]
 
 
@@ -486,13 +486,6 @@ def delete_line(script: ProofScript, k: int) -> ProofScript:
         raise IndexError(f"script has no line {k}")
     lines = script.lines[:k - 1] + script.lines[k:]
     return ProofScript(script.id, script.logic, lines, script.target)
-
-
-def swap_lines(script: ProofScript, i: int, j: int) -> ProofScript:
-    """Exchange 1-based lines i and j, keeping citations as written."""
-    lines = list(script.lines)
-    lines[i - 1], lines[j - 1] = lines[j - 1], lines[i - 1]
-    return ProofScript(script.id, script.logic, tuple(lines), script.target)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ __all__ = [
     "LOGICS", "KM_IDS", "AGM_IDS", "CorrespondencePair", "CORRESPONDENCE_PAIRS",
     "schema_valid_on_frame", "rule_valid_on_frame",
     "rule_preserves_validity", "compile_schema_checker",
-    "correspondence_check", "run_correspondence_suite",
+    "run_correspondence_suite",
 ]
 
 
@@ -313,22 +313,6 @@ CORRESPONDENCE_PAIRS = (
     CorrespondencePair("A_diamond_7s", "P_diamond_7s"),
     CorrespondencePair("A_star_4", "P_star_4"),
 )
-
-
-@dataclass(frozen=True)
-class CorrespondenceResult:
-    property_holds: bool
-    axiom_valid: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.property_holds == self.axiom_valid
-
-
-def correspondence_check(fr: Frame, pair: CorrespondencePair) -> CorrespondenceResult:
-    prop = True if pair.property is None else check_property(fr, pair.property)[0]
-    valid, _ = schema_valid_on_frame(fr, pair.axiom)
-    return CorrespondenceResult(prop, valid)
 
 
 _WITNESS_CAP = 25

@@ -34,7 +34,7 @@ from .frame import (
 
 __all__ = [
     "FamilyFormatError", "WorldSpace", "world_space", "update_family",
-    "lift_update", "theory_of", "audit_k7", "audit_k9", "LemmaReport",
+    "lift_update", "audit_k7", "audit_k9", "LemmaReport",
     "check_lemma_k7s", "check_lemma_k9s", "generate_family",
     "enumerate_families", "family_to_json", "family_from_json",
 ]
@@ -92,12 +92,6 @@ def lift_update(fam: Frame, belief: int, event: int) -> int:
     if event == 0:
         raise ValueError("empty input event")
     return fam.lift(belief, event)
-
-
-def theory_of(space: WorldSpace, belief: int) -> frozenset[int]:
-    """All event-propositions entailed by a belief event."""
-    full = space.full
-    return frozenset(p for p in range(full + 1) if belief & ~p == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ from artifact.frame import (
     FrameFormatError,
     bits,
     check_property,
+    disjunction,
     enumerate_frames,
     frame_count,
     frame_from_json,
     frame_to_json,
     indices_from_mask,
     mask_from_indices,
+    reciprocity,
     sample_frame,
 )
 from artifact.model import model_from_json
@@ -152,6 +154,67 @@ def test_checkers_agree_with_set_oracle_three_states():
         for prop_id in PROPERTY_IDS:
             holds, _ = check_property(fr, prop_id)
             assert holds == _set_property_holds(fr, prop_id), (fr, prop_id)
+
+
+def _reciprocity_all_pairs(r, b, full):
+    """◇6w over every ordered pair (E, F), lexicographic."""
+    events = range(1, full + 1)
+    for e, f in itertools.product(events, events):
+        if e & f and r[e] & ~f == 0 and r[f] & ~e == 0 and r[e] != r[f]:
+            return (e, f)
+    return None
+
+
+def _disjunction_all_pairs(r, b, full):
+    """◇7s over every ordered pair (E, F), lexicographic."""
+    events = range(1, full + 1)
+    for e, f in itertools.product(events, events):
+        if r[e | f] & ~(r[e] | r[f]):
+            return (e, f)
+    return None
+
+
+def _perturbed_ranked_row(rng: random.Random, n: int) -> tuple[int, ...]:
+    """An update row that picks the lowest-ranked states of each event
+    (so both conditions hold), with up to two entries then replaced by
+    a random subset of their event."""
+    full = (1 << n) - 1
+    rank = [rng.randrange(n) for _ in range(n)]
+    row = [0]
+    for e in range(1, full + 1):
+        low = min(rank[i] for i in bits(e))
+        row.append(sum(1 << i for i in bits(e) if rank[i] == low))
+    for _ in range(rng.randrange(3)):
+        e = rng.randrange(1, full + 1)
+        row[e] = rng.randrange(full + 1) & e
+    return tuple(row)
+
+
+def test_symmetric_scans_give_the_all_pairs_counterexample():
+    # reciprocity and disjunction scan only E < F; the first
+    # counterexample must be the one the full ordered-pair scan finds
+    groups = {}
+    for n in (1, 2):  # every row
+        full = (1 << n) - 1
+        groups[n] = [(0, *tail) for tail in itertools.product(range(full + 1), repeat=full)]
+    for n, count, seed in ((3, 20_000, 3), (4, 2_000, 4)):
+        rng = random.Random(seed)
+        groups[n] = [_perturbed_ranked_row(rng, n) for _ in range(count)]
+
+    violations = {}
+    for n, rows in groups.items():
+        full = (1 << n) - 1
+        counts = [len(rows), 0, 0]
+        for r in rows:
+            for k, library, oracle in ((1, reciprocity, _reciprocity_all_pairs),
+                                       (2, disjunction, _disjunction_all_pairs)):
+                cex = library(r, 0, full)
+                assert cex == oracle(r, 0, full), (library.__name__, r)
+                counts[k] += cex is not None
+        violations[n] = tuple(counts)
+    # states: (rows, rows violating ◇6w, rows violating ◇7s)
+    assert violations == {1: (2, 0, 0), 2: (64, 39, 15),
+                          3: (20_000, 6_913, 7_462), 4: (2_000, 973, 931)}
 
 
 # -- enumeration and sampling -----------------------------------------------

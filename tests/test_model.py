@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -13,8 +14,8 @@ from artifact.frame import Frame, FrameFormatError, check_property, enumerate_fr
 from artifact.model import (
     KM_AXIOM_IDS,
     NonSeparatingValuationError,
+    Model,
     UnvaluedAtomError,
-    belief_state,
     characteristic_formula,
     check_km_axiom,
     check_km_axiom_via_formulas,
@@ -159,6 +160,17 @@ def test_membership_is_subset_test():
     e_psi = truth_set(M, parse("q"))
     changed = update_event(M, 0, e_phi)
     assert (changed & ~e_psi == 0) == holds_at(M, 0, parse("B(p > q)"))
+
+
+@dataclass(frozen=True, slots=True)
+class BeliefState:
+    model: Model
+    s: int
+    belief_event: int
+
+
+def belief_state(m: Model, s: int) -> BeliefState:
+    return BeliefState(m, s, m.frame.belief[s])
 
 
 def test_belief_state_consistent():

@@ -11,6 +11,7 @@ from artifact.frame import Frame, PROPERTY_IDS, check_property, sample_frame
 from artifact.model import make_model, truth_set
 from artifact.proofkit import (
     ProofRegistry,
+    ProofScript,
     ProofSyntaxError,
     builtin_registry,
     builtin_scripts,
@@ -20,7 +21,6 @@ from artifact.proofkit import (
     format_proof_script,
     parse_proof_script,
     script_dependencies,
-    swap_lines,
     verify_containment,
 )
 from artifact.schema import LOGICS
@@ -224,6 +224,13 @@ def test_deleting_a_cited_line_is_caught():
     for k in (1, 5, 11, 14):
         verdict = check_script(delete_line(script, k), REGISTRY)
         assert not verdict.ok, f"deletion of line {k} slipped through"
+
+
+def swap_lines(script: ProofScript, i: int, j: int) -> ProofScript:
+    """Exchange 1-based lines i and j, keeping citations as written."""
+    lines = list(script.lines)
+    lines[i - 1], lines[j - 1] = lines[j - 1], lines[i - 1]
+    return ProofScript(script.id, script.logic, tuple(lines), script.target)
 
 
 def test_dependent_swaps_all_caught():

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,6 @@ from artifact.schema import (
     LOGICS,
     REGISTRY,
     compile_schema_checker,
-    correspondence_check,
     rule_preserves_validity,
     rule_valid_on_frame,
     run_correspondence_suite,
@@ -184,6 +184,22 @@ def test_correspondence_pairs_cover_expected_axioms():
     ]
     assert CORRESPONDENCE_PAIRS[0].property is None
     assert CORRESPONDENCE_PAIRS[-1].property == "P_star_4"
+
+
+@dataclass(frozen=True)
+class CorrespondenceResult:
+    property_holds: bool
+    axiom_valid: bool
+
+    @property
+    def agree(self) -> bool:
+        return self.property_holds == self.axiom_valid
+
+
+def correspondence_check(fr: Frame, pair: CorrespondencePair) -> CorrespondenceResult:
+    prop = True if pair.property is None else check_property(fr, pair.property)[0]
+    valid, _ = schema_valid_on_frame(fr, pair.axiom)
+    return CorrespondenceResult(prop, valid)
 
 
 def test_correspondence_agrees_on_stride_and_samples():

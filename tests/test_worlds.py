@@ -17,7 +17,6 @@ from artifact.worlds import (
     family_to_json,
     generate_family,
     lift_update,
-    theory_of,
     update_family,
     world_space,
 )
@@ -143,6 +142,11 @@ def test_lift_is_union_monotone():
             e = rng.randrange(1, 16)
             assert (lift_update(fam, k1 | k2, e)
                     == lift_update(fam, k1, e) | lift_update(fam, k2, e))
+
+
+def theory_of(space: WorldSpace, belief: int) -> frozenset[int]:
+    """All event-propositions entailed by a belief event."""
+    return frozenset(p for p in range(space.full + 1) if belief & ~p == 0)
 
 
 def test_theory_encoding_duality():
