@@ -32,10 +32,10 @@ from typing import Union
 __all__ = [
     "Atom", "Not", "Or", "Believes", "Box", "Cond", "MetaAtom", "Formula",
     "And", "Implies", "Iff", "Top", "Bottom", "RESERVED_ATOM",
-    "METAVARIABLES", "mv", "Schema", "ParseError", "InstantiationError",
+    "METAVARIABLES", "mv", "ParseError", "InstantiationError",
     "TautologyBudgetError", "parse", "parse_schema_text", "print_formula",
-    "is_boolean", "atom_names", "metavariable_names", "opaque_atoms",
-    "is_tautology", "instantiate",
+    "is_boolean", "metavariable_names", "opaque_atoms", "is_tautology",
+    "instantiate",
 ]
 
 
@@ -137,21 +137,6 @@ def is_boolean(f: Formula) -> bool:
             return is_boolean(left) and is_boolean(right)
         case _:
             return False
-
-
-def atom_names(f: Formula) -> set[str]:
-    match f:
-        case Atom(name):
-            return {name}
-        case MetaAtom():
-            return set()
-        case Not(child) | Believes(child) | Box(child):
-            return atom_names(child)
-        case Or(left, right):
-            return atom_names(left) | atom_names(right)
-        case Cond(antecedent, consequent):
-            return atom_names(antecedent) | atom_names(consequent)
-    raise TypeError(f"not a formula node: {f!r}")
 
 
 def metavariable_names(f: Formula) -> set[str]:
@@ -303,24 +288,23 @@ class _Parser:
                          else "expected a formula, found end of input", pos)
 
 
-def parse(text: str) -> Formula:
-    """Parse concrete syntax into an AST. Inverse of print_formula."""
-    p = _Parser(text, schema_mode=False)
+def _parse(text: str, schema_mode: bool) -> Formula:
+    p = _Parser(text, schema_mode)
     f = p.formula()
     kind, value, pos = p.peek()
     if kind != "END":
         raise ParseError(f"trailing input starting with {value!r}", pos)
     return f
+
+
+def parse(text: str) -> Formula:
+    """Parse concrete syntax into an AST. Inverse of print_formula."""
+    return _parse(text, schema_mode=False)
 
 
 def parse_schema_text(text: str) -> Formula:
     """Like parse, but uppercase metavariables are allowed as leaves."""
-    p = _Parser(text, schema_mode=True)
-    f = p.formula()
-    kind, value, pos = p.peek()
-    if kind != "END":
-        raise ParseError(f"trailing input starting with {value!r}", pos)
-    return f
+    return _parse(text, schema_mode=True)
 
 
 # ---------------------------------------------------------------------------
@@ -470,22 +454,11 @@ def is_tautology(f: Formula, max_atoms: int = 20) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# schemas
+# instantiation
 
 
 class InstantiationError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Schema:
-    """A formula template over metavariables, named by its axiom id."""
-
-    id: str
-    template: Formula
-
-    def metavariables(self) -> set[str]:
-        return metavariable_names(self.template)
 
 
 def _substitute(f: Formula, binding: dict[str, Formula]) -> Formula:
@@ -508,20 +481,18 @@ def _substitute(f: Formula, binding: dict[str, Formula]) -> Formula:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def instantiate(s: Schema, binding: dict[str, Formula]) -> Formula:
-    """Uniform substitution of ``binding`` into the schema template.
+def instantiate(template: Formula, binding: dict[str, Formula]) -> Formula:
+    """Uniform substitution of ``binding`` into a schema template.
 
     Boolean-sorted metavariables only accept Boolean formulas; the
     general-sorted ones accept anything.
     """
-    needed = s.metavariables()
+    needed = metavariable_names(template)
     missing = needed - binding.keys()
     if missing:
-        raise InstantiationError(
-            f"schema {s.id}: missing binding for {', '.join(sorted(missing))}")
+        raise InstantiationError(f"missing binding for {', '.join(sorted(missing))}")
     for name in sorted(needed):
         if METAVARIABLES.get(name, True) and not is_boolean(binding[name]):
             raise InstantiationError(
-                f"schema {s.id}: {name} is Boolean-only but bound to "
-                f"{print_formula(binding[name])!r}")
-    return _substitute(s.template, binding)
+                f"{name} is Boolean-only but bound to {print_formula(binding[name])!r}")
+    return _substitute(template, binding)

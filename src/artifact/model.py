@@ -16,12 +16,12 @@ modal clauses as lookups into the frame's ``modal_tables`` (B a is
 ``bel[den(a)]``, a > b is ``cnd[den(a)][den(b)]``), so no generated
 function scans the belief map or the selection. Every compiler builds on
 it: ``schema.compile_schema_checker`` for whole-frame schema validity
-scans, and ``compile_truth`` and ``compile_conjunctions`` for concrete
-formulas under a fixed valuation and state count. The last two know the
-universe at compile time, so ``_Codegen`` writes it as a literal and
-folds every node whose value no longer depends on the frame; a
-characteristic formula becomes its event. Modal statements are emitted once per distinct operand text, so
-``compile_conjunctions``, which compiles groups of formulas into one
+scans, and ``compile_conjunctions`` for concrete formulas under a fixed
+valuation and state count. The latter knows the universe at compile
+time, so ``_Codegen`` writes it as a literal and folds every node whose
+value no longer depends on the frame; a characteristic formula becomes
+its event. Modal statements are emitted once per distinct operand text,
+so ``compile_conjunctions``, which compiles groups of formulas into one
 function returning each group's intersection of truth sets, looks up
 each distinct conditional and belief only once per frame: the
 event/formula bridge compiles one such function per valuation for all
@@ -67,8 +67,7 @@ __all__ = [
     "Model", "UnvaluedAtomError", "NonSeparatingValuationError",
     "make_model", "denotation", "truth_set", "holds_at", "update_event",
     "KM_AXIOM_IDS", "check_km_axiom", "characteristic_formula",
-    "km_formula_instances", "check_km_axiom_via_formulas", "compile_truth",
-    "compile_conjunctions",
+    "km_formula_instances", "check_km_axiom_via_formulas", "compile_conjunctions",
     "model_to_json", "model_from_json",
 ]
 
@@ -351,36 +350,24 @@ class _Codegen:
         return fn
 
 
-def _constant_codegen(valuation: Mapping[str, int], n: int) -> _Codegen:
-    full = (1 << n) - 1
-    for name, event in valuation.items():
-        if event & ~full:
-            raise ValueError(f"valuation of {name!r} out of the universe")
-    return _Codegen([], valuation, full)
-
-
-def compile_truth(f: Formula, valuation: Mapping[str, int], n: int) -> Callable[..., int]:
-    """Compile a formula to a function (Frame, tab=None) -> truth-set
-    mask, ``tab`` being the frame's ``modal_tables`` when given.
-
-    The valuation and state count are fixed at compile time, so atoms
-    and the universe become constants and the whole formula one
-    straight-line function. Agrees with truth_set on every frame with n
-    states (a tested property)."""
-    cg = _constant_codegen(valuation, n)
-    return cg.function("_run", cg.emit(f)[0])
-
-
 def compile_conjunctions(groups: Iterable[Iterable[Formula]], valuation: Mapping[str, int],
                          n: int) -> Callable[..., tuple[int, ...]]:
     """Compile groups of formulas to one function (Frame, tab=None) ->
     tuple of masks, the i-th being the intersection of the truth sets of
-    group i's formulas (the universe for an empty group).
+    group i's formulas (the universe for an empty group), ``tab`` being
+    the frame's ``modal_tables`` when given.
 
-    ``compile_truth`` batched: one function for all the groups, in which
-    a modal subformula shared by several formulas, or with the same value
-    under this valuation, is looked up once."""
-    cg = _constant_codegen(valuation, n)
+    The valuation and state count are fixed at compile time, so atoms
+    and the universe become constants and all the groups one
+    straight-line function, in which a modal subformula shared by
+    several formulas, or with the same value under this valuation, is
+    looked up once. Agrees with truth_set on every frame with n states
+    (a tested property)."""
+    full = (1 << n) - 1
+    for name, event in valuation.items():
+        if event & ~full:
+            raise ValueError(f"valuation of {name!r} out of the universe")
+    cg = _Codegen([], valuation, full)
     masks = [" & ".join(dict.fromkeys(cg.emit(f)[0] for f in group)) or str(cg.full)
              for group in groups]
     return cg.function("_run", "(" + "".join(f"{mask}, " for mask in masks) + ")")

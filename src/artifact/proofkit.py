@@ -10,15 +10,22 @@ stating their hypotheses.
 
 Logics are data. ``schema.LOGICS`` names the axioms and rules each logic
 may cite as primitive, and a lemma proved in one logic may be cited in
-another whose items include its own. Every rule is a registry template:
-the keywords ``mp``, ``nec_box``, ``nec_cond``, ``rm_box``, ``rm_b`` and
-``rm_cond`` name the six rules of the base logic, and ``rule <ID>`` names
-any registered rule. All of them are checked the same way: the rule must
+another whose items include its own. Every axiom and rule is a registry
+item (premises, conclusion); an axiom is the item with no premises. An
+``ax`` step and a ``lemma`` step go through one instance check: the
+cited template (an axiom's conclusion, a lemma script's target) is
+instantiated with the step's binding, every metavariable it leaves out
+standing for itself, and compared with the line. The keywords ``mp``,
+``nec_box``, ``nec_cond``, ``rm_box``, ``rm_b`` and ``rm_cond`` name the
+six rules of the base logic, and ``rule <ID>`` names any registered rule
+with premises. All of them are checked the same way: the rule must
 be available (primitive in the script's logic and not excluded, or a
 derived rule of the base logic with a checked script), and its template
 must match the cited lines and the conclusion. For ``nec_cond`` and
 ``rm_cond`` the formula after the line number binds GAMMA. Exclusions
-remove axioms and primitive rules alike.
+remove axioms and primitive rules alike. A ``taut`` or ``pl`` line whose
+truth table would exceed ``is_tautology``'s opaque-atom budget is a
+failed line, not an error.
 
 Scripts are checked at the metavariable level: one pass certifies all
 uniform Boolean instances, since every justification kind used here is
@@ -53,7 +60,7 @@ from .formula import (
     Not,
     Or,
     Atom,
-    Schema,
+    TautologyBudgetError,
     _substitute,
     is_boolean,
     is_tautology,
@@ -119,15 +126,15 @@ class Verdict:
 
 
 _DERIVED_RULE_IDS = tuple(a for a, info in REGISTRY.items()
-                          if info.rule is not None and info.theorem_of_l)
+                          if info.premises and info.theorem_of_l)
 
 
 def _keyword_rule(rid: str) -> tuple[str, int, tuple[str, ...]]:
     """A base rule's id, premise count, and the conclusion metavariables
     no premise binds (given as formulas after the line numbers)."""
-    rule = REGISTRY[rid].rule
-    bound = set().union(*map(metavariable_names, rule.premises))
-    return rid, len(rule.premises), tuple(sorted(metavariable_names(rule.conclusion) - bound))
+    info = REGISTRY[rid]
+    bound = set().union(*map(metavariable_names, info.premises))
+    return rid, len(info.premises), tuple(sorted(metavariable_names(info.conclusion) - bound))
 
 
 _KEYWORD_RULES = {kw: _keyword_rule(rid) for kw, rid in (
@@ -279,23 +286,39 @@ def match_template(template: Formula, target: Formula, binding: dict | None = No
     return env if walk(template, target) else None
 
 
-def _instance(template: Formula, metavars, binding_pairs, what: str):
-    """Instantiate with identity defaults for unbound metavariables."""
-    given = dict(binding_pairs)
-    full = {}
-    for name in metavars:
-        full[name] = given.pop(name, mv(name))
-    if given:
-        extra = ", ".join(sorted(given))
-        raise InstantiationError(f"{what} has no metavariable {extra}")
-    return instantiate(Schema(what, template), full)
-
-
 # ---------------------------------------------------------------------------
 # line checking
 
 def _fail(reason: str):
     return False, reason
+
+
+def _check_instance(kind: str, j: Justification, template: Formula, f: Formula):
+    """An ``ax`` or ``lemma`` step: instantiate the cited template, each
+    metavariable the binding leaves out standing for itself, and compare
+    the result with the line's formula."""
+    given = dict(j.binding)
+    names = metavariable_names(template)
+    extra = given.keys() - names
+    if extra:
+        return _fail(f"{j.ref} has no metavariable {', '.join(sorted(extra))}")
+    try:
+        expected = instantiate(template, {name: given.get(name, mv(name)) for name in names})
+    except InstantiationError as exc:
+        return _fail(f"{j.ref}: {exc}")
+    if expected == f:
+        return True, None
+    return _fail(f"{kind} instance mismatch: expected "
+                 f"{print_formula(expected)}, got {print_formula(f)}")
+
+
+def _check_tautology(f: Formula, reason: str):
+    try:
+        if is_tautology(f):
+            return True, None
+    except TautologyBudgetError as exc:
+        return _fail(str(exc))
+    return _fail(reason)
 
 
 def _available(ref: str, logic: str, excluded_axioms: frozenset[str]) -> bool:
@@ -308,11 +331,11 @@ def _check_rule_step(j: Justification, f: Formula, cited: list[Formula], logic: 
     """Look the rule up, check that it is available, then match its
     template over every cited premise line and the conclusion ``f``."""
     info = REGISTRY.get(j.ref)
-    if info is None or info.rule is None:
+    if info is None or not info.premises:
         return _fail(f"unknown rule of inference {j.ref!r}")
     if not (_available(j.ref, logic, excluded_axioms) or j.ref in _DERIVED_RULE_IDS):
         return _fail(f"rule {j.ref} is not available in logic {logic}")
-    premises = info.rule.premises
+    premises = info.premises
     if len(cited) != len(premises):
         return _fail(f"rule {j.ref} takes {len(premises)} premise line(s)")
     env = dict(j.binding)
@@ -321,7 +344,7 @@ def _check_rule_step(j: Justification, f: Formula, cited: list[Formula], logic: 
         if env is None:
             return _fail(f"line {i} does not match premise {print_formula(template)}"
                          f" of rule {j.ref}")
-    conclusion = info.rule.conclusion
+    conclusion = info.conclusion
     if match_template(conclusion, f, env) is not None:
         return True, None
     if metavariable_names(conclusion) <= env.keys():
@@ -347,24 +370,14 @@ def check_line(script: ProofScript, index: int, registry: "ProofRegistry | None"
         case "premise":
             return True, None
         case "taut":
-            if is_tautology(f):
-                return True, None
-            return _fail("not a propositional tautology")
+            return _check_tautology(f, "not a propositional tautology")
         case "ax":
             info = REGISTRY.get(j.ref)
-            if info is None or info.schema is None:
+            if info is None or info.premises:
                 return _fail(f"unknown axiom schema {j.ref!r}")
             if not _available(j.ref, script.logic, excluded_axioms):
                 return _fail(f"axiom {j.ref} is not available in logic {script.logic}")
-            try:
-                expected = _instance(info.schema.template,
-                                     info.schema.metavariables(), j.binding, j.ref)
-            except InstantiationError as exc:
-                return _fail(str(exc))
-            if expected == f:
-                return True, None
-            return _fail(f"axiom instance mismatch: expected "
-                         f"{print_formula(expected)}, got {print_formula(f)}")
+            return _check_instance("axiom", j, info.conclusion, f)
         case "lemma":
             dep = registry.script(j.ref) if registry else None
             if dep is None:
@@ -373,22 +386,13 @@ def check_line(script: ProofScript, index: int, registry: "ProofRegistry | None"
                 return _fail(f"{j.ref} is a rule script; cite it with 'rule'")
             if not LOGICS[dep.logic] <= LOGICS[script.logic]:
                 return _fail(f"lemma {j.ref} belongs to logic {dep.logic}")
-            try:
-                expected = _instance(dep.target, metavariable_names(dep.target),
-                                     j.binding, j.ref)
-            except InstantiationError as exc:
-                return _fail(str(exc))
-            if expected == f:
-                return True, None
-            return _fail(f"lemma instance mismatch: expected "
-                         f"{print_formula(expected)}, got {print_formula(f)}")
+            return _check_instance("lemma", j, dep.target, f)
         case "pl":
             premise = cited[0]
             for extra in cited[1:]:
                 premise = And(premise, extra)
-            if is_tautology(Implies(premise, f)):
-                return True, None
-            return _fail("not a propositional consequence of the cited lines")
+            return _check_tautology(Implies(premise, f),
+                                    "not a propositional consequence of the cited lines")
     if _is_rule_step(j):
         return _check_rule_step(j, f, cited, script.logic, excluded_axioms)
     return _fail(f"unknown justification kind {j.kind!r}")
@@ -463,8 +467,7 @@ def check_script(script: ProofScript, registry: ProofRegistry | None = None,
         dep_script = registry.script(dep)
         if dep in _DERIVED_RULE_IDS:
             info = REGISTRY[dep]
-            if (dep_script.premises != info.rule.premises
-                    or dep_script.target != info.rule.conclusion):
+            if (dep_script.premises, dep_script.target) != (info.premises, info.conclusion):
                 return Verdict(False, None,
                                f"script {dep} does not establish the rule {dep}")
     for index in range(1, len(script.lines) + 1):
@@ -705,7 +708,7 @@ def verify_containment(excluded_axioms: frozenset[str] = frozenset(),
             items[a] = {"route": "derived", "ok": False, "lines": None,
                         "reason": f"no revision-logic derivation registered for {a}"}
             continue
-        if script.target != REGISTRY[a].schema.template:
+        if script.target != REGISTRY[a].conclusion:
             items[a] = {"route": "derived", "ok": False, "lines": len(script.lines),
                         "reason": f"script {a} does not derive the schema {a}"}
             continue

@@ -1,10 +1,12 @@
 """Axiom-schema registry, the logic table, schema validity on frames, and
 correspondence.
 
-Every axiom and every rule of inference is one registry entry: a formula
-schema or a rule template (premises / conclusion). The six rules of the
-base logic L (``MP``, ``N_box``, ``N_cond``, ``RM_box``, ``RM_B``,
-``RM_cond``) are entries like the update- and revision-logic rules.
+Every axiom and every rule of inference is one registry item of one
+shape, ``AxiomInfo(id, premises, conclusion)``: as in a Hilbert system,
+an axiom schema is a rule with no premises, and an item's kind is
+whether it has any. The six rules of the base logic L (``MP``,
+``N_box``, ``N_cond``, ``RM_box``, ``RM_B``, ``RM_cond``) are items like
+the update- and revision-logic rules.
 ``LOGICS`` maps each logic name to the items it may cite as primitive;
 the update logic (KM) and the revision logic (AGM) are L plus their
 extensions.
@@ -47,7 +49,6 @@ from .formula import (
     MetaAtom,
     Not,
     Or,
-    Schema,
     _match_and,
     _match_iff,
     _match_implies,
@@ -59,7 +60,7 @@ from .frame import (Frame, check_property, enumerate_frames, frame_to_json, moda
 from .model import _Codegen, denotation
 
 __all__ = [
-    "AxiomInfo", "RuleTemplate", "REGISTRY", "AXIOM_IDS", "L_CORE_IDS",
+    "AxiomInfo", "REGISTRY", "AXIOM_IDS", "L_CORE_IDS",
     "LOGICS", "KM_IDS", "AGM_IDS", "CorrespondencePair", "CORRESPONDENCE_PAIRS",
     "schema_valid_on_frame", "rule_valid_on_frame",
     "rule_preserves_validity", "compile_schema_checker",
@@ -68,74 +69,66 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RuleTemplate:
+class AxiomInfo:
+    """One registry item: a rule of inference from ``premises`` to
+    ``conclusion``. An axiom schema is the rule with no premises."""
+
+    id: str
     premises: tuple[Formula, ...]
     conclusion: Formula
-
-
-@dataclass(frozen=True)
-class AxiomInfo:
-    id: str
-    schema: Schema | None
-    rule: RuleTemplate | None
     theorem_of_l: bool = False
 
 
-def _schema(id_, text, **flags):
-    return AxiomInfo(id_, Schema(id_, parse_schema_text(text)), None, **flags)
-
-
-def _rule(id_, premises, conclusion, **flags):
-    tpl = RuleTemplate(tuple(parse_schema_text(p) for p in premises),
-                       parse_schema_text(conclusion))
-    return AxiomInfo(id_, None, tpl, **flags)
+def _item(id_, premises, conclusion, **flags):
+    return AxiomInfo(id_, tuple(map(parse_schema_text, premises)),
+                     parse_schema_text(conclusion), **flags)
 
 
 _ENTRIES = [
     # base-logic axioms (general metavariables)
-    _schema("D_B", "B ALPHA -> ~B ~ALPHA"),
-    _schema("C_box", "[]ALPHA & []BETA -> [](ALPHA & BETA)"),
-    _schema("C_B", "B ALPHA & B BETA -> B(ALPHA & BETA)"),
-    _schema("C_cond", "(GAMMA > ALPHA) & (GAMMA > BETA) -> (GAMMA > (ALPHA & BETA))"),
-    _schema("NB", "[]ALPHA -> B ALPHA"),
+    _item("D_B", [], "B ALPHA -> ~B ~ALPHA"),
+    _item("C_box", [], "[]ALPHA & []BETA -> [](ALPHA & BETA)"),
+    _item("C_B", [], "B ALPHA & B BETA -> B(ALPHA & BETA)"),
+    _item("C_cond", [], "(GAMMA > ALPHA) & (GAMMA > BETA) -> (GAMMA > (ALPHA & BETA))"),
+    _item("NB", [], "[]ALPHA -> B ALPHA"),
     # base-logic rules of inference
-    _rule("MP", ["ALPHA", "ALPHA -> BETA"], "BETA"),
-    _rule("N_box", ["ALPHA"], "[]ALPHA"),
-    _rule("N_cond", ["ALPHA"], "(GAMMA > ALPHA)"),
-    _rule("RM_box", ["ALPHA -> BETA"], "[]ALPHA -> []BETA"),
-    _rule("RM_B", ["ALPHA -> BETA"], "B ALPHA -> B BETA"),
-    _rule("RM_cond", ["ALPHA -> BETA"], "(GAMMA > ALPHA) -> (GAMMA > BETA)"),
+    _item("MP", ["ALPHA", "ALPHA -> BETA"], "BETA"),
+    _item("N_box", ["ALPHA"], "[]ALPHA"),
+    _item("N_cond", ["ALPHA"], "(GAMMA > ALPHA)"),
+    _item("RM_box", ["ALPHA -> BETA"], "[]ALPHA -> []BETA"),
+    _item("RM_B", ["ALPHA -> BETA"], "B ALPHA -> B BETA"),
+    _item("RM_cond", ["ALPHA -> BETA"], "(GAMMA > ALPHA) -> (GAMMA > BETA)"),
     # update-logic axioms (Boolean metavariables)
-    _schema("A_star_1_diamond_0",
-            "B(PHI > PSI) & B(PHI > (PSI -> CHI)) -> B(PHI > CHI)", theorem_of_l=True),
-    _schema("A_star_2_diamond_1", "B(PHI > PHI)"),
-    _schema("A_diamond_2", "B PHI -> (B PSI <-> B(PHI > PSI))"),
-    _schema("A_star_5b_diamond_3b", "~[]~PHI & B(PHI > PSI) -> ~B(PHI > ~PSI)"),
-    _schema("A_star_7_diamond_5",
-            "~[]~(PHI & PSI) & B((PHI & PSI) > CHI) -> B(PHI > (PSI -> CHI))"),
-    _schema("A_diamond_6w",
-            "~[]~(PHI & PSI) & B(PHI > PSI) & B(PSI > PHI)"
-            " -> (B(PHI > CHI) <-> B(PSI > CHI))"),
-    _schema("A_diamond_7s",
-            "~[]~PHI & ~[]~PSI & B(PHI > CHI) & B(PSI > CHI)"
-            " -> B((PHI | PSI) > CHI)"),
+    _item("A_star_1_diamond_0", [],
+          "B(PHI > PSI) & B(PHI > (PSI -> CHI)) -> B(PHI > CHI)", theorem_of_l=True),
+    _item("A_star_2_diamond_1", [], "B(PHI > PHI)"),
+    _item("A_diamond_2", [], "B PHI -> (B PSI <-> B(PHI > PSI))"),
+    _item("A_star_5b_diamond_3b", [], "~[]~PHI & B(PHI > PSI) -> ~B(PHI > ~PSI)"),
+    _item("A_star_7_diamond_5", [],
+          "~[]~(PHI & PSI) & B((PHI & PSI) > CHI) -> B(PHI > (PSI -> CHI))"),
+    _item("A_diamond_6w", [],
+          "~[]~(PHI & PSI) & B(PHI > PSI) & B(PSI > PHI)"
+          " -> (B(PHI > CHI) <-> B(PSI > CHI))"),
+    _item("A_diamond_7s", [],
+          "~[]~PHI & ~[]~PSI & B(PHI > CHI) & B(PSI > CHI)"
+          " -> B((PHI | PSI) > CHI)"),
     # revision-logic extras
-    _schema("A_star_3", "~[]~PHI & B(PHI > PSI) -> B(PHI -> PSI)"),
-    _schema("A_star_4", "~B ~PHI & B(PHI -> PSI) -> B(PHI > PSI)"),
-    _schema("A_star_8_diamond_9s",
-            "~B(PHI > ~PSI) & B(PHI > (PSI -> CHI)) -> B((PHI & PSI) > (PSI & CHI))"),
+    _item("A_star_3", [], "~[]~PHI & B(PHI > PSI) -> B(PHI -> PSI)"),
+    _item("A_star_4", [], "~B ~PHI & B(PHI -> PSI) -> B(PHI > PSI)"),
+    _item("A_star_8_diamond_9s", [],
+          "~B(PHI > ~PSI) & B(PHI > (PSI -> CHI)) -> B((PHI & PSI) > (PSI & CHI))"),
     # rules of inference shared by both extensions
-    _rule("R_star_5a_diamond_3a", ["~PHI"], "B(PHI > PSI)"),
-    _rule("R_star_6_diamond_4", ["PHI <-> PSI"], "B(PHI > CHI) <-> B(PSI > CHI)"),
+    _item("R_star_5a_diamond_3a", ["~PHI"], "B(PHI > PSI)"),
+    _item("R_star_6_diamond_4", ["PHI <-> PSI"], "B(PHI > CHI) <-> B(PSI > CHI)"),
     # derived theorems and rules of the base logic
-    _schema("C_not_box_not", "~[]~(ALPHA & BETA) -> ~[]~ALPHA", theorem_of_l=True),
-    _schema("C_B_inv", "B(ALPHA & BETA) -> B ALPHA & B BETA", theorem_of_l=True),
-    _schema("K_cond", "(ALPHA > BETA) & (ALPHA > (BETA -> GAMMA)) -> (ALPHA > GAMMA)",
-            theorem_of_l=True),
-    _rule("RM_not_box_not", ["ALPHA -> BETA"], "~[]~ALPHA -> ~[]~BETA",
+    _item("C_not_box_not", [], "~[]~(ALPHA & BETA) -> ~[]~ALPHA", theorem_of_l=True),
+    _item("C_B_inv", [], "B(ALPHA & BETA) -> B ALPHA & B BETA", theorem_of_l=True),
+    _item("K_cond", [], "(ALPHA > BETA) & (ALPHA > (BETA -> GAMMA)) -> (ALPHA > GAMMA)",
           theorem_of_l=True),
-    _rule("N_B", ["ALPHA"], "B ALPHA", theorem_of_l=True),
-    _rule("RM_B_cond", ["ALPHA -> BETA"], "B(GAMMA > ALPHA) -> B(GAMMA > BETA)",
+    _item("RM_not_box_not", ["ALPHA -> BETA"], "~[]~ALPHA -> ~[]~BETA",
+          theorem_of_l=True),
+    _item("N_B", ["ALPHA"], "B ALPHA", theorem_of_l=True),
+    _item("RM_B_cond", ["ALPHA -> BETA"], "B(GAMMA > ALPHA) -> B(GAMMA > BETA)",
           theorem_of_l=True),
 ]
 
@@ -257,7 +250,7 @@ _COMPILED: dict[str, Callable] = {}
 def _compiled_checker(a: str) -> Callable[..., tuple[dict, int] | None]:
     fn = _COMPILED.get(a)
     if fn is None:
-        fn = _COMPILED[a] = compile_schema_checker(_info(a).schema.template)
+        fn = _COMPILED[a] = compile_schema_checker(_info(a).conclusion)
     return fn
 
 
@@ -265,8 +258,7 @@ def schema_valid_on_frame(fr: Frame, a: str):
     """Validity of an axiom schema on a frame, metavariables quantified
     over all events. Returns (valid, counterexample) where the
     counterexample is (binding, state)."""
-    info = _info(a)
-    if info.schema is None:
+    if _info(a).premises:
         raise ValueError(f"{a} is a rule of inference, not a formula schema")
     cex = _compiled_checker(a)(fr)
     return (cex is None), cex
@@ -289,9 +281,9 @@ def rule_preserves_validity(fr: Frame, premises, conclusion):
 
 def rule_valid_on_frame(fr: Frame, r: str):
     info = _info(r)
-    if info.rule is None:
+    if not info.premises:
         raise ValueError(f"{r} is a formula schema, not a rule of inference")
-    return rule_preserves_validity(fr, info.rule.premises, info.rule.conclusion)
+    return rule_preserves_validity(fr, info.premises, info.conclusion)
 
 
 # ---------------------------------------------------------------------------

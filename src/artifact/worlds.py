@@ -34,7 +34,7 @@ from .frame import (
 
 __all__ = [
     "FamilyFormatError", "WorldSpace", "world_space", "update_family",
-    "lift_update", "audit_k7", "audit_k9", "LemmaReport",
+    "lift_update", "audit_k9", "LemmaReport",
     "check_lemma_k7s", "check_lemma_k9s", "generate_family",
     "enumerate_families", "family_to_json", "family_from_json",
 ]
@@ -109,11 +109,6 @@ def _first_violation(condition, rows, full: int):
 
 def _world_rows(fam: Frame):
     return ((w, b, fam.update_row(w)) for w, b in enumerate(fam.belief))
-
-
-def audit_k7(fam: Frame):
-    """First violation of u(w, E|F) <= u(w,E) | u(w,F), or None."""
-    return _first_violation(disjunction, _world_rows(fam), fam.full)
 
 
 def audit_k9(fam: Frame):

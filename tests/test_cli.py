@@ -364,6 +364,15 @@ def test_prove_check_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_prove_check_over_the_tautology_budget_is_a_failed_line(tmp_path, capsys):
+    wide = tmp_path / "wide.proof"
+    wide.write_text(f"1. {' | '.join(f'p{i}' for i in range(21))} | ~p0 ; taut\n")
+    assert main(["prove-check", str(wide)]) == 1
+    captured = capsys.readouterr()
+    assert "wide: line 1: 21 opaque atoms exceed the bound of 20" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_verify_containment_cli(capsys):
     assert main(["verify-containment"]) == 0
     out = capsys.readouterr().out

@@ -24,10 +24,8 @@ from artifact.formula import (
     Not,
     Or,
     ParseError,
-    Schema,
     TautologyBudgetError,
     Top,
-    atom_names,
     instantiate,
     is_boolean,
     is_tautology,
@@ -114,12 +112,6 @@ def test_is_boolean():
     assert is_boolean(mv("PHI"))
     assert not is_boolean(mv("ALPHA"))
     assert is_boolean(Or(mv("PHI"), Not(mv("PSI"))))
-
-
-def test_atom_and_metavariable_collection():
-    f = Implies(Believes(Cond(p, q)), Box(Or(r, mv("CHI"))))
-    assert atom_names(f) == {"p", "q", "r"}
-    assert metavariable_names(f) == {"CHI"}
 
 
 # -- parsing ---------------------------------------------------------------
@@ -305,34 +297,36 @@ def test_tautology_agrees_with_row_oracle_on_proof_suite(monkeypatch):
 # -- schemas and instantiation ---------------------------------------------
 
 def test_instantiate_uniform():
-    s = Schema("test", parse_schema_text("B(PHI > PSI) -> B(PHI > PSI)"))
+    s = parse_schema_text("B(PHI > PSI) -> B(PHI > PSI)")
     f = instantiate(s, {"PHI": p, "PSI": Or(q, r)})
     assert f == Implies(Believes(Cond(p, Or(q, r))), Believes(Cond(p, Or(q, r))))
 
 
 def test_instantiate_missing_binding():
-    s = Schema("test", parse_schema_text("PHI -> PSI"))
+    s = parse_schema_text("PHI -> PSI")
     with pytest.raises(InstantiationError, match="PSI"):
         instantiate(s, {"PHI": p})
 
 
 def test_instantiate_sort_enforcement():
-    s = Schema("test", parse_schema_text("B PHI -> ~B ~PHI"))
+    s = parse_schema_text("B PHI -> ~B ~PHI")
     with pytest.raises(InstantiationError, match="Boolean-only"):
         instantiate(s, {"PHI": Believes(p)})
     with pytest.raises(InstantiationError, match="Boolean-only"):
         instantiate(s, {"PHI": Cond(p, q)})
-    general = Schema("test2", parse_schema_text("B ALPHA -> ~B ~ALPHA"))
+    general = parse_schema_text("B ALPHA -> ~B ~ALPHA")
     f = instantiate(general, {"ALPHA": Believes(p)})
     assert f == Implies(Believes(Believes(p)), Not(Believes(Not(Believes(p)))))
 
 
 def test_instantiate_boolean_metavariables_nest():
-    s = Schema("test", parse_schema_text("B(PHI > PHI)"))
+    s = parse_schema_text("B(PHI > PHI)")
     f = instantiate(s, {"PHI": Or(mv("PHI"), mv("PSI"))})
     assert f == Believes(Cond(Or(mv("PHI"), mv("PSI")), Or(mv("PHI"), mv("PSI"))))
 
 
 def test_schema_metavariables_derived_from_template():
-    s = Schema("test", parse_schema_text("~[]~(PHI & PSI) & B((PHI & PSI) > CHI)"))
-    assert s.metavariables() == {"PHI", "PSI", "CHI"}
+    s = parse_schema_text("~[]~(PHI & PSI) & B((PHI & PSI) > CHI)")
+    assert metavariable_names(s) == {"PHI", "PSI", "CHI"}
+    # atoms and modal nodes are not metavariables
+    assert metavariable_names(Implies(Believes(Cond(p, q)), Box(Or(r, mv("CHI"))))) == {"CHI"}

@@ -20,7 +20,6 @@ from artifact.model import (
     check_km_axiom,
     check_km_axiom_via_formulas,
     compile_conjunctions,
-    compile_truth,
     denotation,
     holds_at,
     km_formula_instances,
@@ -265,25 +264,15 @@ def test_formula_twin_default_instances():
 
 # -- compiled evaluator ------------------------------------------------------
 
-def test_compile_truth_matches_truth_set():
+def test_compile_conjunctions_of_one_formula_match_truth_set():
     rng = random.Random(21)
     val = {"p": 0b011, "q": 0b101}
     frames = [sample_frame(3, rng) for _ in range(40)]
     for _ in range(60):
         f = _random_formula(rng, 4)
-        run = compile_truth(f, val, 3)
+        run = compile_conjunctions([[f]], val, 3)
         for fr in frames:
-            assert run(fr) == truth_set(make_model(fr, val), f)
-
-
-def test_compile_truth_errors():
-    with pytest.raises(UnvaluedAtomError):
-        compile_truth(parse("r"), {"p": 1}, 2)
-    from artifact.formula import mv
-    with pytest.raises(ValueError, match="metavariable"):
-        compile_truth(Believes(mv("ALPHA")), {"p": 1}, 2)
-    with pytest.raises(ValueError, match="universe"):
-        compile_truth(parse("p"), {"p": 0b100}, 2)
+            assert run(fr) == (truth_set(make_model(fr, val), f),)
 
 
 # valuations per state count, with atoms denoting the empty event and the
@@ -333,6 +322,8 @@ def test_compile_conjunctions_matches_truth_set():
 
 def test_compile_conjunctions_errors():
     from artifact.formula import mv
+    with pytest.raises(UnvaluedAtomError):
+        compile_conjunctions([[parse("r")]], {"p": 1}, 2)
     with pytest.raises(UnvaluedAtomError):
         compile_conjunctions([[parse("p")], [parse("B r")]], {"p": 1}, 2)
     with pytest.raises(ValueError, match="metavariable"):

@@ -13,6 +13,7 @@ from artifact.proofkit import (
     ProofRegistry,
     ProofScript,
     ProofSyntaxError,
+    Verdict,
     builtin_registry,
     builtin_scripts,
     check_line,
@@ -71,8 +72,8 @@ def test_rule_scripts_match_registry_templates():
     for rid in REMARK_RULES:
         script = REGISTRY.script(rid)
         assert script.is_rule
-        assert script.premises == AXIOMS[rid].rule.premises
-        assert script.target == AXIOMS[rid].rule.conclusion
+        assert script.premises == AXIOMS[rid].premises
+        assert script.target == AXIOMS[rid].conclusion
 
 
 def test_text_round_trip():
@@ -117,6 +118,11 @@ def _script(text, logic="L", script_id="scratch"):
      "not available in logic L"),
     # wrong instance for the cited axiom
     ("1. B PHI -> ~B ~PSI ; ax D_B [alpha=PHI]", "L", 1, "instance mismatch"),
+    # axiom binding that names a metavariable the schema lacks
+    ("1. B PHI -> ~B ~PHI ; ax D_B [phi=PHI]", "L", 1, "D_B has no metavariable PHI"),
+    # Boolean-only axiom metavariable bound to a modal formula
+    ("1. B(B ALPHA > B ALPHA) ; ax A_star_2_diamond_1 [phi=B ALPHA]", "KM", 1,
+     "A_star_2_diamond_1: PHI is Boolean-only"),
     # necessitation of the wrong formula
     ("1. PHI | ~PHI ; taut\n2. [](PHI & PHI) ; nec_box 1", "L", 2,
      "conclusion does not match rule N_box"),
@@ -146,12 +152,26 @@ def _script(text, logic="L", script_id="scratch"):
     # lemma instance that does not match the cited target
     ("1. ~[]~PHI -> ~[]~PSI ; lemma C_not_box_not [alpha=PHI, beta=PSI]",
      "L", 1, "lemma instance mismatch"),
+    # lemma binding that names a metavariable the target lacks
+    ("1. ~[]~(PHI & PSI) -> ~[]~PHI ; lemma C_not_box_not [alpha=PHI, chi=PSI]",
+     "L", 1, "C_not_box_not has no metavariable CHI"),
+    # Boolean-only lemma metavariable bound to a modal formula
+    ("1. ~[]~B ALPHA & B(B ALPHA > PSI) -> B(B ALPHA -> PSI) ; lemma A_star_3 [phi=B ALPHA]",
+     "KM", 1, "A_star_3: PHI is Boolean-only"),
 ])
 def test_check_line_rejects(text, logic, line, complaint):
     script = _script(text, logic)
     ok, reason = check_line(script, line, REGISTRY)
     assert not ok
     assert complaint in reason
+
+
+def test_tautology_budget_is_a_failed_line():
+    wide = " | ".join(f"p{i}" for i in range(21))
+    verdict = check_script(_script(f"1. {wide} | ~p0 ; taut"), REGISTRY)
+    assert verdict == Verdict(False, 1, "21 opaque atoms exceed the bound of 20")
+    verdict = check_script(_script(f"1. PHI | ~PHI ; taut\n2. {wide} ; pl 1"), REGISTRY)
+    assert verdict == Verdict(False, 2, "22 opaque atoms exceed the bound of 20")
 
 
 def test_check_line_index_bounds():
@@ -364,10 +384,9 @@ def test_every_accepted_line_is_valid_on_conforming_frames():
             names = metavariable_names(ln.formula)
             concrete = ln.formula
             if names:
-                from artifact.formula import Schema, instantiate
-                concrete = instantiate(
-                    Schema("line", ln.formula),
-                    {name: Atom(name.lower()) for name in names})
+                from artifact.formula import instantiate
+                concrete = instantiate(ln.formula,
+                                       {name: Atom(name.lower()) for name in names})
             for fr in pool:
                 valuation = {name.lower(): rng.randrange(fr.full + 1)
                              for name in ("PHI", "PSI", "CHI",

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from artifact.formula import Atom, parse, parse_schema_text
 from artifact.frame import (Frame, check_property, enumerate_frames, frame_to_json,
                             modal_tables, sample_frame)
-from artifact.model import UnvaluedAtomError, compile_truth, denotation, make_model, truth_set
+from artifact.model import (UnvaluedAtomError, compile_conjunctions, denotation, make_model,
+                            truth_set)
 from artifact.schema import (
     AGM_IDS,
     AXIOM_IDS,
@@ -25,13 +26,13 @@ from artifact.schema import (
     run_correspondence_suite,
     schema_valid_on_frame,
 )
-from artifact.formula import instantiate
+from artifact.formula import instantiate, metavariable_names
 
 GAPPY = Frame(2, (1, 3), ((0, 2, 1), (1, 0, 3)))
 WITNESS = Frame(2, (3, 3), ((2, 2, 1), (2, 2, 2)))
 
-SCHEMA_IDS = tuple(a for a in AXIOM_IDS if REGISTRY[a].schema is not None)
-RULE_IDS = tuple(a for a in AXIOM_IDS if REGISTRY[a].rule is not None)
+SCHEMA_IDS = tuple(a for a in AXIOM_IDS if not REGISTRY[a].premises)
+RULE_IDS = tuple(a for a in AXIOM_IDS if REGISTRY[a].premises)
 
 
 def stride_frames(step=1103):
@@ -79,7 +80,7 @@ def test_counterexample_pins_first_failure():
     binding, s = cex
     assert binding == {"PHI": 0b01, "PSI": 0b00}
     assert s == 0
-    tpl = REGISTRY["A_diamond_2"].schema.template
+    tpl = REGISTRY["A_diamond_2"].conclusion
     mask = denotation(GAPPY, tpl, binding)
     assert not mask >> s & 1
 
@@ -96,7 +97,7 @@ def test_theorems_of_l_valid_everywhere_on_stride():
 def test_compiled_matches_generic_on_two_state_stride():
     frames = stride_frames(733)
     for a in SCHEMA_IDS:
-        tpl = REGISTRY[a].schema.template
+        tpl = REGISTRY[a].conclusion
         for fr in frames:
             assert schema_valid_on_frame(fr, a) == rule_preserves_validity(fr, (), tpl)
 
@@ -106,7 +107,7 @@ def test_compiled_matches_generic_on_two_state_stride():
 def test_compiled_matches_generic_on_sampled_three_state(seed, pick):
     fr = sample_frame(3, random.Random(seed))
     a = SCHEMA_IDS[pick]
-    tpl = REGISTRY[a].schema.template
+    tpl = REGISTRY[a].conclusion
     assert schema_valid_on_frame(fr, a) == rule_preserves_validity(fr, (), tpl)
 
 
@@ -126,7 +127,7 @@ def test_modal_tables_match_the_truth_clauses():
 
 
 def test_compiled_checkers_agree_with_and_without_shared_tables():
-    checkers = [compile_schema_checker(REGISTRY[a].schema.template) for a in SCHEMA_IDS]
+    checkers = [compile_schema_checker(REGISTRY[a].conclusion) for a in SCHEMA_IDS]
     for fr in _table_frames():
         tab = modal_tables(fr)
         for a, check in zip(SCHEMA_IDS, checkers):
@@ -141,14 +142,14 @@ def test_event_instantiation_matches_formula_semantics():
     two_state = list(enumerate_frames(2))
     for _ in range(100):
         a = rng.choice(SCHEMA_IDS)
-        sch = REGISTRY[a].schema
+        tpl = REGISTRY[a].conclusion
         fr = rng.choice(two_state) if rng.random() < 0.5 else sample_frame(3, rng)
-        names = sorted(sch.metavariables())
+        names = sorted(metavariable_names(tpl))
         binding = {nm: rng.randrange(fr.full + 1) for nm in names}
         atoms = {nm: f"mv_{nm.lower()}" for nm in names}
         m = make_model(fr, {atoms[nm]: binding[nm] for nm in names})
-        inst = instantiate(sch, {nm: Atom(atoms[nm]) for nm in names})
-        assert truth_set(m, inst) == denotation(fr, sch.template, binding)
+        inst = instantiate(tpl, {nm: Atom(atoms[nm]) for nm in names})
+        assert truth_set(m, inst) == denotation(fr, tpl, binding)
 
 
 def test_shared_rules_are_validity_preserving_everywhere():
@@ -229,8 +230,7 @@ def test_agm_valid_frames_validate_km_items():
     agm_frames = 0
     for fr in frames:
         def item_ok(a):
-            info = REGISTRY[a]
-            if info.schema is not None:
+            if not REGISTRY[a].premises:
                 return schema_valid_on_frame(fr, a)[0]
             return rule_valid_on_frame(fr, a)[0]
         if all(item_ok(a) for a in AGM_IDS):
@@ -306,14 +306,14 @@ def test_compiled_functions_are_freed_without_the_cycle_collector():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        check = compile_schema_checker(REGISTRY["A_diamond_2"].schema.template)
+        check = compile_schema_checker(REGISTRY["A_diamond_2"].conclusion)
         assert check(GAPPY) is not None
         ref = weakref.ref(check)
         del check
         assert ref() is None
-        run = compile_truth(parse("B(p > q) | []p"), {"p": 0b01, "q": 0b10}, 2)
-        assert run(GAPPY) == truth_set(make_model(GAPPY, {"p": 0b01, "q": 0b10}),
-                                       parse("B(p > q) | []p"))
+        run = compile_conjunctions([[parse("B(p > q) | []p")]], {"p": 0b01, "q": 0b10}, 2)
+        assert run(GAPPY) == (truth_set(make_model(GAPPY, {"p": 0b01, "q": 0b10}),
+                                        parse("B(p > q) | []p")),)
         ref = weakref.ref(run)
         del run
         assert ref() is None
