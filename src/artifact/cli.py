@@ -48,7 +48,6 @@ from .frame import (
     frame_to_json,
     indices_from_mask,
     modal_tables,
-    sample_frame,
 )
 from .model import (
     KM_AXIOM_IDS,
@@ -382,9 +381,9 @@ _SEPARATING = ({"p": 0b01}, {"p": 0b10})
 
 
 def criterion_formula_bridge() -> dict:
-    """Event-level postulate checks must agree with the formula-level
-    restatements through characteristic formulas, on every two-state
-    frame, for both separating one-atom valuations.
+    """Event-level postulate checks must agree with the formula level, the
+    registry's L_KM items instantiated with characteristic formulas, on
+    every two-state frame, for both separating one-atom valuations.
 
     Each valuation's instances compile to one function that returns, for
     every postulate, the states where all of its instances hold; both
@@ -660,7 +659,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", type=int, required=True)
     p.add_argument("--axiom", default="all", choices=("all",) + KM_AXIOM_IDS)
     p.add_argument("--bridge", action="store_true",
-                   help="also compare with the formula-level check")
+                   help="also check the postulate's L_KM item instantiated "
+                        "with characteristic formulas")
     p.set_defaults(fn=_cmd_check_km)
 
     p = sub.add_parser("correspond", parents=[common],

@@ -462,22 +462,24 @@ class InstantiationError(ValueError):
 
 
 def _substitute(f: Formula, binding: dict[str, Formula]) -> Formula:
-    match f:
-        case MetaAtom(name, _):
-            return binding[name]
-        case Atom():
-            return f
-        case Not(child):
-            return Not(_substitute(child, binding))
-        case Or(left, right):
-            return Or(_substitute(left, binding), _substitute(right, binding))
-        case Believes(child):
-            return Believes(_substitute(child, binding))
-        case Box(child):
-            return Box(_substitute(child, binding))
-        case Cond(antecedent, consequent):
-            return Cond(_substitute(antecedent, binding),
-                        _substitute(consequent, binding))
+    # one exact-class test per node kind, the most frequent first: the
+    # bridge substitutes into thousands of templates per instance table,
+    # and a match statement over class patterns costs about twice as much
+    t = type(f)
+    if t is Not:
+        return Not(_substitute(f.child, binding))
+    if t is Or:
+        return Or(_substitute(f.left, binding), _substitute(f.right, binding))
+    if t is MetaAtom:
+        return binding[f.name]
+    if t is Believes:
+        return Believes(_substitute(f.child, binding))
+    if t is Cond:
+        return Cond(_substitute(f.antecedent, binding), _substitute(f.consequent, binding))
+    if t is Box:
+        return Box(_substitute(f.child, binding))
+    if t is Atom:
+        return f
     raise TypeError(f"not a formula node: {f!r}")
 
 

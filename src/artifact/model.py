@@ -32,9 +32,13 @@ after input phi iff update_event(m, s, den(phi)) is a subset of den(psi).
 ``check_km_axiom`` decides the update postulates with formulas replaced
 by their denotations, running the row predicates of ``frame`` on the one
 state's row U(s, ·), the same predicates the frame properties run on
-every state's row; ``km_formula_instances`` produces the matching
-formula-level statements over characteristic formulas, so the two layers
-can be played against each other.
+every state's row. The formula level is the registry's own L_KM items
+(``schema.KM_IDS``) under characteristic formulas:
+``km_formula_instances`` substitutes characteristic formulas of the
+valuation into each item's conclusion. One table, ``_KM_POSTULATES``,
+gives each postulate its row predicate, its item and its bindings, so
+the two layers can be played against each other, and a wrong registry
+schema shows up as a disagreement between them.
 """
 
 from __future__ import annotations
@@ -50,14 +54,13 @@ from .formula import (
     Box,
     Cond,
     Formula,
-    Iff,
-    Implies,
     MetaAtom,
     Not,
     Or,
     _match_and,
     _match_iff,
     _match_implies,
+    _substitute,
 )
 from .frame import (Frame, FrameFormatError, bits, conjunction, consistency, disjunction,
                     frame_from_json, frame_to_json, indices_from_mask, mask_from_indices,
@@ -275,22 +278,26 @@ class _Codegen:
         got = self.memo.get(id(f))
         if got is not None:
             return got
-        if (m := _match_iff(f)) is not None:
+        # only negations and disjunctions can be sugar
+        t = type(f)
+        if t is Not and (m := _match_iff(f)) is not None:
             out = self.iff(self.emit(m[0]), self.emit(m[1]))
-        elif (m := _match_and(f)) is not None:
+        elif t is Not and (m := _match_and(f)) is not None:
             out = self.join("&", self.emit(m[0]), self.emit(m[1]))
-        elif (m := _match_implies(f)) is not None:
+        elif t is Or and (m := _match_implies(f)) is not None:
             out = self.join("|", self.neg(self.emit(m[0])), self.emit(m[1]))
         else:
-            match f:
-                case MetaAtom(name, _):
-                    if name not in self.names:
-                        raise ValueError(f"metavariable {name} in a concrete formula")
-                    out = (f"e_{self.names.index(name)}", self.names.index(name) + 1)
-                case Atom(name):
-                    if name not in self.valuation:
-                        raise UnvaluedAtomError(f"concrete atom {name!r} has no value")
-                    out = (str(self.valuation[name]), 0)
+            match f:  # modal nodes first, the most frequent here
+                case Believes(child):
+                    ex, lx = self.emit(child)
+                    out = self.statement(("B", ex), lx, f"{{v}} = bel[{ex}]")
+                case Cond(antecedent, consequent):
+                    (ex, lx), (ey, ly) = self.emit(antecedent), self.emit(consequent)
+                    if self.literal(ex) == 0:
+                        out = (str(self.full), 0)  # vacuous case
+                    else:
+                        out = self.statement(("C", ex, ey), max(lx, ly),
+                                             f"{{v}} = cnd[{ex}][{ey}]")
                 case Not(child):
                     out = self.neg(self.emit(child))
                 case Or(left, right):
@@ -302,16 +309,14 @@ class _Codegen:
                     else:
                         out = self.statement(("[]", ex), lx,
                                              f"{{v}} = {{top}} if {ex} == {{top}} else 0")
-                case Believes(child):
-                    ex, lx = self.emit(child)
-                    out = self.statement(("B", ex), lx, f"{{v}} = bel[{ex}]")
-                case Cond(antecedent, consequent):
-                    (ex, lx), (ey, ly) = self.emit(antecedent), self.emit(consequent)
-                    if self.literal(ex) == 0:
-                        out = (str(self.full), 0)  # vacuous case
-                    else:
-                        out = self.statement(("C", ex, ey), max(lx, ly),
-                                             f"{{v}} = cnd[{ex}][{ey}]")
+                case MetaAtom(name, _):
+                    if name not in self.names:
+                        raise ValueError(f"metavariable {name} in a concrete formula")
+                    out = (f"e_{self.names.index(name)}", self.names.index(name) + 1)
+                case Atom(name):
+                    if name not in self.valuation:
+                        raise UnvaluedAtomError(f"concrete atom {name!r} has no value")
+                    out = (str(self.valuation[name]), 0)
                 case _:
                     raise TypeError(f"not a formula node: {f!r}")
         self.memo[id(f)] = out
@@ -368,30 +373,56 @@ def compile_conjunctions(groups: Iterable[Iterable[Formula]], valuation: Mapping
         if event & ~full:
             raise ValueError(f"valuation of {name!r} out of the universe")
     cg = _Codegen([], valuation, full)
-    masks = [" & ".join(dict.fromkeys(cg.emit(f)[0] for f in group)) or str(cg.full)
+    masks = [_conjoin(list(dict.fromkeys(cg.emit(f)[0] for f in group))) or str(full)
              for group in groups]
     return cg.function("_run", "(" + "".join(f"{mask}, " for mask in masks) + ")")
 
 
-# ---------------------------------------------------------------------------
-# event-level update postulates
+def _conjoin(terms: list[str]) -> str:
+    """The terms joined by ``&`` as a balanced tree, "" for none: a flat
+    chain of the thousands of terms a postulate has at four states nests
+    too deep for the interpreter's compiler."""
+    if len(terms) < 2:
+        return "".join(terms)
+    mid = len(terms) // 2
+    return f"({_conjoin(terms[:mid])} & {_conjoin(terms[mid:])})"
 
-# None marks the postulates that hold on every model: the changed belief
-# set is deductively closed, contradiction-updated and
-# denotation-determined by construction.
-_KM_CONDITIONS = {
-    "K_diamond_0": None,
-    "K_diamond_1": success,
-    "K_diamond_2": unsurprising,
-    "K_diamond_3a": None,
-    "K_diamond_3b": consistency,
-    "K_diamond_4": None,
-    "K_diamond_5": conjunction,
-    "K_diamond_6w": reciprocity,
-    "K_diamond_7s": disjunction,
+
+# ---------------------------------------------------------------------------
+# the update postulates, event level and formula level
+
+# One row per update postulate: the row predicate of ``frame`` it comes
+# to on one state's update row, the L_KM item it restates, and that
+# item's (PHI, PSI, CHI) bindings, given the characteristic formulas k
+# of all events and the non-empty events ne. The predicate is None for
+# the postulates that hold on every model: the changed belief set is
+# deductively closed, contradiction-updated and denotation-determined by
+# construction. K_diamond_3a and K_diamond_4 are the conclusions of
+# rules at bindings that make the premise a theorem, PHI = ⊥ (premise
+# ~PHI) and PSI = ~~PHI (premise PHI <-> PSI); K_diamond_3b is its axiom
+# at PSI = ⊤.
+_KM_POSTULATES = {
+    "K_diamond_0": (None, "A_star_1_diamond_0",
+                    lambda k, ne: ((k[e], k[f], k[g]) for e in k for f in ne for g in ne)),
+    "K_diamond_1": (success, "A_star_2_diamond_1", lambda k, ne: ((k[e],) for e in ne)),
+    "K_diamond_2": (unsurprising, "A_diamond_2",
+                    lambda k, ne: ((k[e], k[f]) for e in ne for f in k)),
+    "K_diamond_3a": (None, "R_star_5a_diamond_3a", lambda k, ne: ((k[0], k[f]) for f in k)),
+    "K_diamond_3b": (consistency, "A_star_5b_diamond_3b",
+                     lambda k, ne: ((k[e], k[ne[-1]]) for e in ne)),
+    "K_diamond_4": (None, "R_star_6_diamond_4",
+                    lambda k, ne: ((k[e], Not(Not(k[e])), k[f]) for e in ne for f in k)),
+    "K_diamond_5": (conjunction, "A_star_7_diamond_5",
+                    lambda k, ne: ((k[e], k[f], k[g]) for e in ne for f in ne if e & f
+                                   for g in k)),
+    "K_diamond_6w": (reciprocity, "A_diamond_6w",
+                     lambda k, ne: ((k[e], k[f], k[g]) for e in ne for f in ne if e & f
+                                    for g in k)),
+    "K_diamond_7s": (disjunction, "A_diamond_7s",
+                     lambda k, ne: ((k[e], k[f], k[g]) for e in ne for f in ne for g in k)),
 }
 
-KM_AXIOM_IDS = tuple(_KM_CONDITIONS)
+KM_AXIOM_IDS = tuple(_KM_POSTULATES)
 
 
 def check_km_axiom(m: Model, s: int, a: str):
@@ -404,7 +435,7 @@ def check_km_axiom(m: Model, s: int, a: str):
     K_diamond_0, K_diamond_3a and K_diamond_4 hold on every model.
     """
     try:
-        condition = _KM_CONDITIONS[a]
+        condition = _KM_POSTULATES[a][0]
     except KeyError:
         raise ValueError(f"unknown update postulate {a!r}") from None
     fr = m.frame
@@ -460,55 +491,20 @@ def characteristic_formula(m: Model, event: int) -> Formula:
 def km_formula_instances(n: int, valuation: Mapping[str, int]) -> dict[str, list[Formula]]:
     """Formula-level restatements of the update postulates.
 
-    For each postulate, a list of closed formulas over characteristic
-    formulas of the valuation; the postulate holds at state s in the
-    formula sense iff every listed formula is true at s. Quantifier
-    ranges mirror the event-level checks, so on any frame with n states
-    the two layers must agree.
+    For each postulate, the instances of the L_KM item it restates at
+    its bindings over characteristic formulas of the valuation; the
+    postulate holds at state s in the formula sense iff every listed
+    formula is true at s. Quantifier ranges mirror the event-level
+    checks, so on any frame with n states the two layers must agree.
     """
+    from .schema import REGISTRY  # schema imports this module
+
     atoms = tuple(sorted(valuation.items()))
-    full = (1 << n) - 1
-    k = {e: _characteristic(n, atoms, e) for e in range(full + 1)}
-    events = range(1, full + 1)
-    every = range(full + 1)
-
-    def b(e: int, f: int) -> Formula:
-        return Believes(Cond(k[e], k[f]))
-
-    out: dict[str, list[Formula]] = {a: [] for a in KM_AXIOM_IDS}
-    out["K_diamond_0"] = [
-        Implies(And(b(e, f), Believes(Cond(k[e], Implies(k[f], k[g])))), b(e, g))
-        for e in every for f in events for g in events
-    ]
-    out["K_diamond_1"] = [b(e, e) for e in events]
-    out["K_diamond_2"] = [
-        Implies(Believes(k[e]), Iff(b(e, f), Believes(k[f])))
-        for e in events for f in every
-    ]
-    out["K_diamond_3a"] = [b(0, f) for f in every]
-    out["K_diamond_3b"] = [Not(b(e, 0)) for e in events]
-    out["K_diamond_4"] = [
-        Iff(b(e, f), Believes(Cond(Not(Not(k[e])), k[f])))
-        for e in events for f in every
-    ]
-    out["K_diamond_5"] = [
-        Implies(And(Not(Box(Not(And(k[e], k[f])))),
-                    Believes(Cond(And(k[e], k[f]), k[g]))),
-                Believes(Cond(k[e], Implies(k[f], k[g]))))
-        for e in events for f in events if e & f for g in every
-    ]
-    out["K_diamond_6w"] = [
-        Implies(And(Not(Box(Not(And(k[e], k[f])))), And(b(e, f), b(f, e))),
-                Iff(b(e, g), b(f, g)))
-        for e in events for f in events if e & f for g in every
-    ]
-    out["K_diamond_7s"] = [
-        Implies(And(Not(Box(Not(k[e]))),
-                    And(Not(Box(Not(k[f]))), And(b(e, g), b(f, g)))),
-                Believes(Cond(Or(k[e], k[f]), k[g])))
-        for e in events for f in events for g in every
-    ]
-    return out
+    k = {e: _characteristic(n, atoms, e) for e in range(1 << n)}
+    ne = range(1, 1 << n)
+    return {a: [_substitute(REGISTRY[item].conclusion, dict(zip(("PHI", "PSI", "CHI"), b)))
+                for b in bindings(k, ne)]
+            for a, (_, item, bindings) in _KM_POSTULATES.items()}
 
 
 def check_km_axiom_via_formulas(m: Model, s: int, a: str,

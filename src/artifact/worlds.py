@@ -157,7 +157,12 @@ def _check_lemma(fam: Frame, lemma: str, condition) -> LemmaReport:
 
 
 def check_lemma_k7s(fam: Frame) -> LemmaReport:
-    """Lifted union bound: lift(K, E|F) <= lift(K,E) | lift(K,F)."""
+    """Lifted union bound: lift(K, E|F) <= lift(K,E) | lift(K,F).
+
+    The sweep confirms a one-line argument from the per-world bound, the
+    lift being a union over the worlds w of K:
+    lift(K, E|F) = U u(w, E|F) <= U (u(w,E) | u(w,F)) = lift(K,E) | lift(K,F).
+    """
     return _check_lemma(fam, "k7s", disjunction)
 
 

@@ -11,7 +11,7 @@ from artifact import cli, model, schema
 from artifact.cli import main
 from artifact.frame import Frame, check_property, frame_from_json, frame_to_json, sample_frame
 from artifact.model import make_model, model_to_json, truth_set
-from artifact.formula import And, Atom, Not, parse
+from artifact.formula import And, Atom, Not, parse, parse_schema_text
 
 # serial two-state frame that fails most selection properties
 LOPSIDED = Frame(2, (1, 3), ((0, 2, 1), (1, 0, 3)))
@@ -275,6 +275,20 @@ def test_bridge_reports_a_false_formula_instance(monkeypatch):
         _record(TAME, "K_diamond_1", 0), _record(TAME, "K_diamond_1", 1),
         _record(LOPSIDED, "K_diamond_1", 0), _record(LOPSIDED, "K_diamond_1", 1)]
     assert report["checked"] == 3 * 9 * 2 * 2 and report["spot_checks"] == 9
+    assert report["ok"] is False
+
+
+def test_bridge_instantiates_the_registry_items(monkeypatch):
+    # A_diamond_2 with its conditional reversed is not valid: the bridge
+    # must see it through the K_diamond_2 instances
+    reversed_cond = parse_schema_text("B PHI -> (B PSI <-> B(PSI > PHI))")
+    monkeypatch.setitem(schema.REGISTRY, "A_diamond_2",
+                        schema.AxiomInfo("A_diamond_2", (), reversed_cond))
+    report = _bridge(monkeypatch)
+    spot = {**_record(TAME, "K_diamond_2", 0), "path": "check_km_axiom_via_formulas"}
+    assert report["disagreements"] == (
+        [_record(TAME, "K_diamond_2", 0)] * 2 + [_record(TAME, "K_diamond_2", 1)] * 2
+        + [spot] + [_record(LOPSIDED, "K_diamond_2", 1)] * 2)
     assert report["ok"] is False
 
 

@@ -20,7 +20,6 @@ from artifact.formula import (
     Iff,
     Implies,
     InstantiationError,
-    MetaAtom,
     Not,
     Or,
     ParseError,

@@ -11,6 +11,7 @@ import pytest
 from artifact import model
 from artifact.formula import And, Atom, Believes, Box, Cond, Iff, Implies, Not, Or, parse
 from artifact.frame import Frame, FrameFormatError, check_property, enumerate_frames, sample_frame
+from artifact.schema import KM_IDS
 from artifact.model import (
     KM_AXIOM_IDS,
     NonSeparatingValuationError,
@@ -362,14 +363,35 @@ def test_batched_postulates_agree_with_event_level_at_three_states(monkeypatch):
     assert src.count("cnd[") == 7 * 8
     assert src.count("bel[") == 8 + 7 * 8
     assert "for " not in src
-    rng = random.Random(3)
-    for _ in range(40):
-        fr = sample_frame(3, rng)
+    _assert_masks_agree(run, 3, val, random.Random(3), 40)
+
+
+def test_batched_postulates_agree_with_event_level_at_four_states():
+    # K_diamond_0 and K_diamond_7s have 3,600 instances each here
+    val = {"p": 0b0111, "q": 0b1011, "r": 0b1101}
+    instances = km_formula_instances(4, val)
+    run = compile_conjunctions([instances[a] for a in KM_AXIOM_IDS], val, 4)
+    _assert_masks_agree(run, 4, val, random.Random(4), 200)
+
+
+def _assert_masks_agree(run, n: int, val: dict, rng: random.Random, count: int) -> None:
+    """The batched postulate masks against check_km_axiom on ``count``
+    sampled frames with n states."""
+    for _ in range(count):
+        fr = sample_frame(n, rng)
         m = make_model(fr, val)
         masks = run(fr)
         for i, a in enumerate(KM_AXIOM_IDS):
-            for s in range(3):
+            for s in range(n):
                 assert bool(masks[i] >> s & 1) == check_km_axiom(m, s, a)[0], (fr, a, s)
+
+
+def test_postulate_table_restates_each_km_item_once():
+    assert sorted(item for _, item, _ in model._KM_POSTULATES.values()) == sorted(KM_IDS)
+    # the ranges the README and the check-km --bridge refusal quote
+    for val in ({"p": 0b01}, {"p": 0b10}):
+        assert sum(map(len, km_formula_instances(2, val).values())) == 162
+    assert sum(map(len, km_formula_instances(3, {"p": 0b011, "q": 0b101}).values())) == 1510
 
 
 # -- serialization -----------------------------------------------------------
