@@ -88,6 +88,18 @@ _CORRESPOND_MAX_STATES = 7  # three-metavariable checkers bind (2^n)^3 events
 _WORLDS_MAX_ATOMS = 3  # lemma steps grow with the cube of 2^(2^atoms) - 1
 
 
+def _at_least_one(text: str) -> int:
+    """A --states or --sample value: no frame has fewer than one state,
+    and a sample of none checks nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"refusing {value}: at least 1 is needed")
+    return value
+
+
 def _load_json(path: str) -> dict:
     with open(path) as handle:
         return json.load(handle)
@@ -649,7 +661,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frame-enum", parents=[common],
                        help="enumerate all frames of a given size")
-    p.add_argument("--states", type=int, required=True)
+    p.add_argument("--states", type=_at_least_one, required=True)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(fn=_cmd_frame_enum)
 
@@ -665,10 +677,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correspond", parents=[common],
                        help="axiom/property correspondence sweep")
-    p.add_argument("--states", type=int, required=True)
+    p.add_argument("--states", type=_at_least_one, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--exhaustive", action="store_true")
-    group.add_argument("--sample", type=int, metavar="COUNT")
+    group.add_argument("--sample", type=_at_least_one, metavar="COUNT")
     p.set_defaults(fn=_cmd_correspond)
 
     p = sub.add_parser("worlds-check", parents=[common],
@@ -676,7 +688,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--exhaustive", action="store_true")
-    group.add_argument("--sample", type=int, metavar="COUNT")
+    group.add_argument("--sample", type=_at_least_one, metavar="COUNT")
     p.add_argument("--constraint", default="none", choices=("none", "k7", "k9"))
     p.add_argument("--lemma", default="both", choices=("both", "k7s", "k9s"))
     p.set_defaults(fn=_cmd_worlds_check)

@@ -139,19 +139,28 @@ def is_boolean(f: Formula) -> bool:
             return False
 
 
-def metavariable_names(f: Formula) -> set[str]:
-    match f:
-        case MetaAtom(name, _):
-            return {name}
-        case Atom():
-            return set()
-        case Not(child) | Believes(child) | Box(child):
-            return metavariable_names(child)
-        case Or(left, right):
-            return metavariable_names(left) | metavariable_names(right)
-        case Cond(antecedent, consequent):
-            return metavariable_names(antecedent) | metavariable_names(consequent)
-    raise TypeError(f"not a formula node: {f!r}")
+def metavariable_names(*formulas: Formula) -> tuple[str, ...]:
+    """The metavariables of ``formulas`` in order of first occurrence:
+    preorder, left to right, one formula after the other. This order is
+    the binding order of every validity scan."""
+    # an explicit stack and one exact-class test per node kind, the most
+    # frequent first: the proof checker walks every cited template
+    names: dict[str, None] = {}
+    stack = list(reversed(formulas))
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is Not or t is Believes or t is Box:
+            stack.append(g.child)
+        elif t is Or:
+            stack += (g.right, g.left)
+        elif t is MetaAtom:
+            names[g.name] = None
+        elif t is Cond:
+            stack += (g.consequent, g.antecedent)
+        elif t is not Atom:
+            raise TypeError(f"not a formula node: {g!r}")
+    return tuple(names)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +400,9 @@ class TautologyBudgetError(Exception):
     """Raised when a tautology check would need too many table rows."""
 
 
+_MAX_OPAQUE_ATOMS = 20  # a 2**20-row table is the most one check may build
+
+
 def opaque_atoms(f: Formula) -> list[Formula]:
     """Maximal modal subformulas plus atoms/metavariables, in
     first-occurrence order. These are the propositional unknowns of the
@@ -414,7 +426,7 @@ def opaque_atoms(f: Formula) -> list[Formula]:
     return found
 
 
-def is_tautology(f: Formula, max_atoms: int = 20) -> bool:
+def is_tautology(f: Formula) -> bool:
     """Truth-table check treating B/[]/> subformulas as opaque atoms.
 
     This decides "has the form of a classical tautology", which is the
@@ -425,9 +437,9 @@ def is_tautology(f: Formula, max_atoms: int = 20) -> bool:
     its column has every row set.
     """
     leaves = opaque_atoms(f)
-    if len(leaves) > max_atoms:
+    if len(leaves) > _MAX_OPAQUE_ATOMS:
         raise TautologyBudgetError(
-            f"{len(leaves)} opaque atoms exceed the bound of {max_atoms}")
+            f"{len(leaves)} opaque atoms exceed the bound of {_MAX_OPAQUE_ATOMS}")
     rows = 1 << len(leaves)
     full = (1 << rows) - 1
     column = {}
@@ -489,7 +501,7 @@ def instantiate(template: Formula, binding: dict[str, Formula]) -> Formula:
     Boolean-sorted metavariables only accept Boolean formulas; the
     general-sorted ones accept anything.
     """
-    needed = metavariable_names(template)
+    needed = set(metavariable_names(template))
     missing = needed - binding.keys()
     if missing:
         raise InstantiationError(f"missing binding for {', '.join(sorted(missing))}")

@@ -200,7 +200,7 @@ class _Codegen:
     literals is left in the statements. Boolean nodes also drop
     operands that cannot change their value (see ``join``)."""
 
-    def __init__(self, names: list[str], valuation: Mapping[str, int] | None = None,
+    def __init__(self, names: tuple[str, ...], valuation: Mapping[str, int] | None = None,
                  full: int | None = None):
         self.names = names
         self.valuation = {} if valuation is None else valuation
@@ -372,7 +372,7 @@ def compile_conjunctions(groups: Iterable[Iterable[Formula]], valuation: Mapping
     for name, event in valuation.items():
         if event & ~full:
             raise ValueError(f"valuation of {name!r} out of the universe")
-    cg = _Codegen([], valuation, full)
+    cg = _Codegen((), valuation, full)
     masks = [_conjoin(list(dict.fromkeys(cg.emit(f)[0] for f in group))) or str(full)
              for group in groups]
     return cg.function("_run", "(" + "".join(f"{mask}, " for mask in masks) + ")")
@@ -508,14 +508,13 @@ def km_formula_instances(n: int, valuation: Mapping[str, int]) -> dict[str, list
 
 
 def check_km_axiom_via_formulas(m: Model, s: int, a: str,
-                                instances: dict[str, list[Formula]] | None = None) -> bool:
+                                instances: dict[str, list[Formula]]) -> bool:
     """The formula-level twin of check_km_axiom: evaluate the postulate's
-    characteristic-formula instances at s through the truth definition.
+    characteristic-formula ``instances`` at s through the truth definition.
 
-    Pass a precomputed ``km_formula_instances`` result to amortize the
-    formula construction over many models with the same valuation."""
-    if instances is None:
-        instances = km_formula_instances(m.frame.n, m.valuation_map())
+    ``instances`` is the ``km_formula_instances`` table for the model's
+    size and valuation: build it once for all the models that share
+    both."""
     return all(holds_at(m, s, f) for f in instances[a])
 
 

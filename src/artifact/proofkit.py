@@ -131,10 +131,12 @@ _DERIVED_RULE_IDS = tuple(a for a, info in REGISTRY.items()
 
 def _keyword_rule(rid: str) -> tuple[str, int, tuple[str, ...]]:
     """A base rule's id, premise count, and the conclusion metavariables
-    no premise binds (given as formulas after the line numbers)."""
+    no premise binds, in first-occurrence order (given as formulas after
+    the line numbers)."""
     info = REGISTRY[rid]
-    bound = set().union(*map(metavariable_names, info.premises))
-    return rid, len(info.premises), tuple(sorted(metavariable_names(info.conclusion) - bound))
+    bound = metavariable_names(*info.premises)
+    free = tuple(n for n in metavariable_names(info.conclusion) if n not in bound)
+    return rid, len(info.premises), free
 
 
 _KEYWORD_RULES = {kw: _keyword_rule(rid) for kw, rid in (
@@ -347,7 +349,7 @@ def _check_rule_step(j: Justification, f: Formula, cited: list[Formula], logic: 
     conclusion = info.conclusion
     if match_template(conclusion, f, env) is not None:
         return True, None
-    if metavariable_names(conclusion) <= env.keys():
+    if set(metavariable_names(conclusion)) <= env.keys():
         return _fail(f"conclusion does not match rule {j.ref}: expected "
                      f"{print_formula(_substitute(conclusion, env))}")
     return _fail(f"conclusion does not match rule {j.ref}")

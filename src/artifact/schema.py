@@ -17,21 +17,26 @@ metavariables to Boolean formulas and every event is the truth set of
 some Boolean formula under a suitable valuation, quantifying
 metavariables directly over the frame's events is sound and complete.
 The checker therefore plugs metavariable events straight into the truth
-clauses and never enumerates formulas.
+clauses and never enumerates formulas. A rule is valid on a frame when
+every binding that makes all its premises valid makes its conclusion
+valid. Validity of any registry item, axiom or rule, is one call:
+``schema_valid_on_frame``.
 
 The truth clauses themselves live in ``model``: the reference evaluator
 ``denotation`` and the code generator ``_Codegen``. This module only
 drives them. ``compile_schema_checker`` has ``_Codegen`` emit the
 template's clauses inside one loop per metavariable, ordered by first
-occurrence in the template, hoists antecedent conjuncts to the outermost
-loop that binds their metavariables, and prunes the inner loops with a
-zero guard. Every modal node is a lookup into the frame's
-``modal_tables``, built once per frame and shared by all the checkers of
-a correspondence sweep, so no binding rescans the belief map or the
-selection. ``rule_preserves_validity`` scans the same bindings through
-``denotation``; with no premises it is the reference validity scan for a
-schema. Both paths report the same first counterexample (binding in
-lexicographic scan order, then lowest state).
+occurrence in the template (``formula.metavariable_names``), hoists
+antecedent conjuncts to the outermost loop that binds their
+metavariables, and prunes the inner loops with a zero guard. Every modal
+node is a lookup into the frame's ``modal_tables``, built once per frame
+and shared by all the checkers of a correspondence sweep, so no binding
+rescans the belief map or the selection. ``rule_preserves_validity``
+scans the same bindings through ``denotation``, its metavariables in
+first-occurrence order over the premises, then the conclusion; with no
+premises it is the reference validity scan for a schema. Both paths
+report the same first counterexample (binding in lexicographic scan
+order, then lowest state).
 """
 
 from __future__ import annotations
@@ -41,20 +46,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .formula import (
-    Believes,
-    Box,
-    Cond,
-    Formula,
-    MetaAtom,
-    Not,
-    Or,
-    _match_and,
-    _match_iff,
-    _match_implies,
-    metavariable_names,
-    parse_schema_text,
-)
+from .formula import (Formula, _match_and, _match_iff, _match_implies, metavariable_names,
+                      parse_schema_text)
 from .frame import (Frame, check_property, enumerate_frames, frame_to_json, modal_tables,
                     sample_frame)
 from .model import _Codegen, denotation
@@ -62,8 +55,7 @@ from .model import _Codegen, denotation
 __all__ = [
     "AxiomInfo", "REGISTRY", "AXIOM_IDS", "L_CORE_IDS",
     "LOGICS", "KM_IDS", "AGM_IDS", "CorrespondencePair", "CORRESPONDENCE_PAIRS",
-    "schema_valid_on_frame", "rule_valid_on_frame",
-    "rule_preserves_validity", "compile_schema_checker",
+    "schema_valid_on_frame", "rule_preserves_validity", "compile_schema_checker",
     "run_correspondence_suite",
 ]
 
@@ -159,26 +151,6 @@ def _info(a: str) -> AxiomInfo:
         raise ValueError(f"unknown axiom id {a!r}") from None
 
 
-def _scan_names(templates) -> list[str]:
-    """Metavariables in order of first occurrence (preorder, left to right)."""
-    seen: list[str] = []
-
-    def walk(f: Formula) -> None:
-        match f:
-            case MetaAtom(name, _):
-                if name not in seen:
-                    seen.append(name)
-            case Not(c) | Believes(c) | Box(c):
-                walk(c)
-            case Or(a, b) | Cond(a, b):
-                walk(a)
-                walk(b)
-
-    for t in templates:
-        walk(t)
-    return seen
-
-
 def _first_false_state(mask: int, n: int) -> int:
     for s in range(n):
         if not mask >> s & 1:
@@ -204,7 +176,7 @@ def compile_schema_checker(template: Formula) -> Callable[..., tuple[dict, int] 
     scanning bindings lexicographically in first-occurrence metavariable
     order with events ascending.
     """
-    names = _scan_names([template])
+    names = metavariable_names(template)
     if not names:
         raise ValueError("schema template has no metavariables")
     cg = _Codegen(names)
@@ -255,11 +227,13 @@ def _compiled_checker(a: str) -> Callable[..., tuple[dict, int] | None]:
 
 
 def schema_valid_on_frame(fr: Frame, a: str):
-    """Validity of an axiom schema on a frame, metavariables quantified
-    over all events. Returns (valid, counterexample) where the
-    counterexample is (binding, state)."""
-    if _info(a).premises:
-        raise ValueError(f"{a} is a rule of inference, not a formula schema")
+    """Validity of registry item ``a`` on a frame, metavariables
+    quantified over all events: an axiom schema through its compiled
+    checker, a rule through ``rule_preserves_validity``. Returns (valid,
+    counterexample) where the counterexample is (binding, state)."""
+    info = _info(a)
+    if info.premises:
+        return rule_preserves_validity(fr, info.premises, info.conclusion)
     cex = _compiled_checker(a)(fr)
     return (cex is None), cex
 
@@ -268,7 +242,7 @@ def rule_preserves_validity(fr: Frame, premises, conclusion):
     """Check one rule template on one frame: every event binding that
     makes all premises valid must make the conclusion valid. With no
     premises this is the reference validity scan of a schema template."""
-    names = _scan_names(list(premises) + [conclusion])
+    names = metavariable_names(*premises, conclusion)
     full = fr.full
     for events in product(range(full + 1), repeat=len(names)):
         binding = dict(zip(names, events))
@@ -277,13 +251,6 @@ def rule_preserves_validity(fr: Frame, premises, conclusion):
             if mask != full:
                 return False, (binding, _first_false_state(mask, fr.n))
     return True, None
-
-
-def rule_valid_on_frame(fr: Frame, r: str):
-    info = _info(r)
-    if not info.premises:
-        raise ValueError(f"{r} is a formula schema, not a rule of inference")
-    return rule_preserves_validity(fr, info.premises, info.conclusion)
 
 
 # ---------------------------------------------------------------------------

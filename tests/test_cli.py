@@ -211,6 +211,25 @@ def test_worlds_check_refuses_four_atoms_up_front(monkeypatch, capsys):
         main(["worlds-check", "--atoms", "3", "--sample", "1"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["correspond", "--states", "3", "--sample", "{}"],
+    ["worlds-check", "--atoms", "2", "--sample", "{}"],
+    ["correspond", "--states", "{}", "--sample", "3"],
+    ["frame-enum", "--states", "{}", "--count-only"],
+])
+def test_counts_below_one_are_refused_up_front(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_correspondence_suite", _reached)
+    monkeypatch.setattr(cli, "run_worlds_report", _reached)
+    monkeypatch.setattr(cli, "frame_count", _reached)
+    flag = argv[argv.index("{}") - 1]
+    for value in ("0", "-3"):
+        assert main([value if a == "{}" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: refusing {value}" in err
+    with pytest.raises(_Reached):
+        main(["1" if a == "{}" else a for a in argv])
+
+
 # -- the event/formula bridge on a few frames ----------------------------------
 
 # success holds at both states of TAME and LOPSIDED and fails at both of

@@ -244,7 +244,7 @@ def test_opaque_atom_budget():
     wide = parse(" | ".join(f"x{i}" for i in range(21)))
     with pytest.raises(TautologyBudgetError):
         is_tautology(wide)
-    assert is_tautology(parse(" | ".join(f"x{i}" for i in range(20))) , max_atoms=20) is False
+    assert is_tautology(parse(" | ".join(f"x{i}" for i in range(20)))) is False
     # a tautology at the budget: all 2**20 rows hold
     widest = parse(" | ".join(f"x{i}" for i in range(20)) + " | ~x19")
     assert len(opaque_atoms(widest)) == 20
@@ -326,6 +326,13 @@ def test_instantiate_boolean_metavariables_nest():
 
 def test_schema_metavariables_derived_from_template():
     s = parse_schema_text("~[]~(PHI & PSI) & B((PHI & PSI) > CHI)")
-    assert metavariable_names(s) == {"PHI", "PSI", "CHI"}
+    assert metavariable_names(s) == ("PHI", "PSI", "CHI")
     # atoms and modal nodes are not metavariables
-    assert metavariable_names(Implies(Believes(Cond(p, q)), Box(Or(r, mv("CHI"))))) == {"CHI"}
+    assert metavariable_names(Implies(Believes(Cond(p, q)), Box(Or(r, mv("CHI"))))) == ("CHI",)
+
+
+def test_metavariable_names_in_first_occurrence_order():
+    assert metavariable_names(parse_schema_text("(PSI > PHI) | CHI & PHI")) == ("PSI", "PHI", "CHI")
+    # across several formulas: the first, then the names new in the next
+    premise, conclusion = parse_schema_text("ALPHA -> BETA"), parse_schema_text("(GAMMA > BETA)")
+    assert metavariable_names(premise, conclusion) == ("ALPHA", "BETA", "GAMMA")

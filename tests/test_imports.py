@@ -1,7 +1,12 @@
-"""Source hygiene: every name a module imports at module level is used."""
+"""Source hygiene: every name a module imports at module level is used,
+and every name a module exports is bound in it."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
+
+import artifact
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +35,14 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_module_level_imports():
     files = sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("tests/*.py"))
     assert [hit for path in files for hit in _unused_imports(path)] == []
+
+
+def test_every_exported_name_is_bound():
+    # an ``__all__`` entry counts as a use above, so a stale one could
+    # hide an unused import
+    unbound = []
+    for info in pkgutil.iter_modules(artifact.__path__):
+        module = importlib.import_module(f"artifact.{info.name}")
+        unbound += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert unbound == []

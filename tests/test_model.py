@@ -259,8 +259,9 @@ def test_formula_twin_agrees_on_sampled_frames():
 
 def test_formula_twin_default_instances():
     m = make_model(GAPPY, {"p": 0b01})
-    assert not check_km_axiom_via_formulas(m, 0, "K_diamond_2")
-    assert check_km_axiom_via_formulas(m, 0, "K_diamond_3a")
+    instances = km_formula_instances(2, {"p": 0b01})
+    assert not check_km_axiom_via_formulas(m, 0, "K_diamond_2", instances)
+    assert check_km_axiom_via_formulas(m, 0, "K_diamond_3a", instances)
 
 
 # -- compiled evaluator ------------------------------------------------------
