@@ -47,7 +47,6 @@ from .frame import (
     frame_from_json,
     frame_to_json,
     indices_from_mask,
-    modal_tables,
 )
 from .model import (
     KM_AXIOM_IDS,
@@ -74,7 +73,6 @@ from .worlds import (
     check_lemma_k7s,
     check_lemma_k9s,
     enumerate_families,
-    family_to_json,
     generate_family,
     world_space,
 )
@@ -279,7 +277,7 @@ def run_worlds_report(atoms: int, mode: str, count: int, seed: int,
                 if row["first_violation"] is None:
                     belief, event, refinement = report.counterexample
                     row["first_violation"] = {
-                        "family": family_to_json(fam),
+                        "family": frame_to_json(fam),
                         "belief": belief, "event": event,
                         "refinement": refinement,
                     }
@@ -399,9 +397,10 @@ def criterion_formula_bridge() -> dict:
 
     Each valuation's instances compile to one function that returns, for
     every postulate, the states where all of its instances hold; both
-    functions read one build of the frame's modal tables. The first
-    valuation's instance table also serves the spot checks through the
-    per-model evaluator."""
+    functions read the frame's one build of its modal tables, and the
+    event level reads its update rows. The first valuation's instance
+    table also serves the spot checks through the per-model
+    evaluator."""
     tables = [km_formula_instances(2, valuation) for valuation in _SEPARATING]
     compiled = [compile_conjunctions([table[a] for a in KM_AXIOM_IDS], valuation, 2)
                 for table, valuation in zip(tables, _SEPARATING)]
@@ -410,8 +409,7 @@ def criterion_formula_bridge() -> dict:
     spot_checks = 0
     for index, fr in enumerate(enumerate_frames(2)):
         m = make_model(fr, _SEPARATING[0])
-        tab = modal_tables(fr)
-        masks = [run(fr, tab) for run in compiled]
+        masks = [run(fr) for run in compiled]
         for i, a in enumerate(KM_AXIOM_IDS):
             for s in (0, 1):
                 event_level = check_km_axiom(m, s, a)[0]
@@ -557,6 +555,7 @@ def criterion_foundations(seed: int) -> dict:
 
     consistency_failures = 0
     top_failures = 0
+    belief_consistency_failures = 0
     for fr in enumerate_frames(2):
         m = make_model(fr, {"p": 0b01})
         for s in range(fr.n):
@@ -569,10 +568,8 @@ def criterion_foundations(seed: int) -> dict:
                 pass
             else:
                 consistency_failures += 1
-
-    belief_consistency_failures = sum(
-        1 for fr in enumerate_frames(2)
-        if not schema_valid_on_frame(fr, "D_B")[0])
+        if not schema_valid_on_frame(fr, "D_B")[0]:
+            belief_consistency_failures += 1
 
     return {
         "ok": (round_trip_failures == 0 and oracle_disagreements == 0

@@ -9,11 +9,20 @@ selected event may be empty.
 ``Frame.lift(K, E)`` is the union of f(s', E) over the states s' of a
 belief event K, and the lifted selection U(s, E) is ``lift(belief[s], E)``;
 the accessors reject a state or event outside the frame with ValueError.
-``Frame.update_row`` gives U(s, ·) as one mask-indexed row. A world-level
-update family (``worlds``) is a frame in which every state believes only
-itself, so its lift to a belief set K is ``lift(K, E)``.
+A world-level update family (``worlds``) is a frame in which every state
+believes only itself, so its lift to a belief set K is ``lift(K, E)``.
+
+A frame owns the two views every check reads. ``fr.rows[s]`` is the
+update row U(s, ·), indexed by event mask (entry 0 is 0), built once
+when the frame is made. ``modal_tables`` gives the frame's two modal
+operators as tables over event masks: where B X holds for every event
+X, and where E > F holds for every pair of events. They are built on
+first use and kept on the frame, so every compiled truth function run
+on one frame reads one build. Neither view takes part in comparing or
+hashing frames.
+
 Every update condition the package checks is written here once, as a
-predicate on such a row and its belief event: success, unsurprising,
+predicate on an update row and its belief event: success, unsurprising,
 consistency, conjunction (◇5), reciprocity (◇6w), disjunction (◇7s),
 expansion (◇9s) and revision's vacuity (*4). The layers above only pick
 the rows: ``check_property`` runs a predicate on every state's row of a
@@ -25,18 +34,13 @@ in (E, F) and cannot fail at E = F, so they scan only the pairs E < F:
 if (E, F) violates one, so does (F, E), and the first violating pair in
 lexicographic order has E < F. The first counterexample is the one a
 scan of every ordered pair would give.
-
-``modal_tables`` gives the frame's two modal operators as tables over
-event masks: where B X holds for every event X, and where E > F holds
-for every pair of events. Every compiled truth function reads its modal
-nodes from them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import or_
 
 __all__ = [
@@ -85,6 +89,8 @@ class Frame:
     n: int
     belief: tuple[int, ...]
     selection: tuple[tuple[int, ...], ...]  # selection[s][e - 1], e a non-empty mask
+    rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    _tables: tuple | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.n < 1:
@@ -106,6 +112,14 @@ class Frame:
             for value in row:
                 if value & ~full:
                     raise FrameFormatError(f"selected event at state {s} out of range")
+        rows = []
+        for b in self.belief:  # U(s, ·): the union of the believed states' rows
+            believed = bits(b)
+            row = self.selection[next(believed)]
+            for sp in believed:
+                row = tuple(map(or_, row, self.selection[sp]))
+            rows.append((0, *row))
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def full(self) -> int:
@@ -135,15 +149,6 @@ class Frame:
             out |= self.selection[sp][event - 1]
         return out
 
-    def update_row(self, s: int) -> tuple[int, ...]:
-        """U(s, ·) indexed by event mask: entry e is U(s, E) for every
-        non-empty E, entry 0 is 0."""
-        believed = bits(self.belief[s])
-        row = self.selection[next(believed)]
-        for sp in believed:
-            row = tuple(map(or_, row, self.selection[sp]))
-        return (0, *row)
-
 
 def _inclusion_row(events, full: int) -> list[int]:
     """Entry x: the states s with events[s] inside x. Each state is set
@@ -164,12 +169,17 @@ def modal_tables(fr: Frame) -> tuple[list[int], list[list[int]]]:
     """The modal values of a frame, indexed by event masks: ``bel[x]`` is
     where B X holds, the states whose belief lies inside x, and
     ``cnd[e][f]`` where E > F holds, the states s with f(s, E) inside F.
-    ``cnd[0]`` is the vacuous row, the universe for every F."""
-    full = fr.full
-    bel = _inclusion_row(fr.belief, full)
-    cnd = [[full] * (full + 1)] + [_inclusion_row(column, full)
-                                   for column in zip(*fr.selection)]
-    return bel, cnd
+    ``cnd[0]`` is the vacuous row, the universe for every F. Built on the
+    first call and kept on the frame; callers only read them."""
+    tab = fr._tables
+    if tab is None:
+        full = fr.full
+        bel = _inclusion_row(fr.belief, full)
+        cnd = [[full] * (full + 1)] + [_inclusion_row(column, full)
+                                       for column in zip(*fr.selection)]
+        tab = (bel, cnd)
+        object.__setattr__(fr, "_tables", tab)
+    return tab
 
 
 def _scan_events(n: int):
@@ -281,19 +291,17 @@ _CONDITIONS = {
 PROPERTY_IDS = tuple(_CONDITIONS)
 
 
-def check_property(fr: Frame, prop_id: str, rows=None):
+def check_property(fr: Frame, prop_id: str):
     """Returns (holds, counterexample): the property's row predicate on
     every state's row U(s, ·). The counterexample is (s, E) or (s, E, F)
-    with events as masks, the first one in scan order. ``rows``, when
-    given, holds ``fr.update_row(s)`` for every state s, so that several
-    properties of one frame share them."""
+    with events as masks, the first one in scan order."""
     try:
         condition = _CONDITIONS[prop_id]
     except KeyError:
         raise ValueError(f"unknown frame property {prop_id!r}") from None
-    full = fr.full
+    full, rows = fr.full, fr.rows
     for s, b in enumerate(fr.belief):
-        cex = condition(fr.update_row(s) if rows is None else rows[s], b, full)
+        cex = condition(rows[s], b, full)
         if cex is not None:
             return False, (s, *cex)
     return True, None

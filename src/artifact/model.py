@@ -11,34 +11,35 @@ The clauses are written twice, once per way of running them.
 ``denotation`` is the recursive reference: it evaluates a formula on a
 frame with atoms and schema metavariables alike looked up in one
 mapping to events, and ``truth_set`` is it under a model's valuation.
-``_Codegen`` emits the same clauses as Python source, with the two
-modal clauses as lookups into the frame's ``modal_tables`` (B a is
+``_Codegen`` emits the same clauses as Python source, with the two modal
+clauses as lookups into the frame's ``modal_tables`` (B a is
 ``bel[den(a)]``, a > b is ``cnd[den(a)][den(b)]``), so no generated
-function scans the belief map or the selection. Every compiler builds on
-it: ``schema.compile_schema_checker`` for whole-frame schema validity
-scans, and ``compile_conjunctions`` for concrete formulas under a fixed
-valuation and state count. The latter knows the universe at compile
-time, so ``_Codegen`` writes it as a literal and folds every node whose
-value no longer depends on the frame; a characteristic formula becomes
-its event. Modal statements are emitted once per distinct operand text,
-so ``compile_conjunctions``, which compiles groups of formulas into one
-function returning each group's intersection of truth sets, looks up
-each distinct conditional and belief only once per frame: the
-event/formula bridge compiles one such function per valuation for all
-of a postulate table's instances.
+function scans the belief map or the selection; the frame builds the
+tables on the first function's call and keeps them for the rest. Every
+compiler builds on it: ``schema.compile_schema_checker`` for whole-frame
+schema validity scans, and ``compile_conjunctions`` for concrete
+formulas under a fixed valuation and state count. The latter knows the
+universe at compile time, so ``_Codegen`` writes it as a literal and
+folds every node whose value no longer depends on the frame; a
+characteristic formula becomes its event. Modal statements are emitted
+once per distinct operand text, so ``compile_conjunctions``, which
+compiles groups of formulas into one function returning each group's
+intersection of truth sets, looks up each distinct conditional and
+belief only once per frame: the event/formula bridge compiles one such
+function per valuation for all of a postulate table's instances.
 
 The belief-change reading: psi belongs to the changed belief set at s
-after input phi iff update_event(m, s, den(phi)) is a subset of den(psi).
-``check_km_axiom`` decides the update postulates with formulas replaced
-by their denotations, running the row predicates of ``frame`` on the one
-state's row U(s, ·), the same predicates the frame properties run on
-every state's row. The formula level is the registry's own L_KM items
-(``schema.KM_IDS``) under characteristic formulas:
-``km_formula_instances`` substitutes characteristic formulas of the
-valuation into each item's conclusion. One table, ``_KM_POSTULATES``,
-gives each postulate its row predicate, its item and its bindings, so
-the two layers can be played against each other, and a wrong registry
-schema shows up as a disagreement between them.
+after input phi iff update_event(m, s, den(phi)) is a subset of
+den(psi). ``check_km_axiom`` decides the update postulates with formulas
+replaced by their denotations, running the row predicates of ``frame``
+on the one state's row ``fr.rows[s]``, U(s, ·), the same predicates the
+frame properties run on every state's row. The formula level is the
+registry's own L_KM items (``schema.KM_IDS``) under characteristic
+formulas: ``km_formula_instances`` substitutes characteristic formulas
+of the valuation into each item's conclusion. One table,
+``_KM_POSTULATES``, gives each postulate its row predicate, its item and
+its bindings, so the two layers can be played against each other, and a
+wrong registry schema shows up as a disagreement between them.
 """
 
 from __future__ import annotations
@@ -324,17 +325,15 @@ class _Codegen:
         return out
 
     def function(self, name: str, result: str) -> Callable[..., object]:
-        """``def name(fr, tab=None)``: block 0, then one loop over the
-        frame's events per metavariable with block i inside loop i, then
-        ``return result``. ``tab`` is ``modal_tables(fr)``, built by the
-        function when not given, so that callers running several
-        functions on one frame build it once. The function is returned
-        without the namespace it was executed in, so the two do not form
-        a reference cycle."""
-        lines = [f"def {name}(fr, tab=None):"]
+        """``def name(fr)``: the frame's ``modal_tables``, block 0, then one
+        loop over the frame's events per metavariable with block i inside
+        loop i, then ``return result``. The function is returned without
+        the namespace it was executed in, so the two do not form a
+        reference cycle."""
+        lines = [f"def {name}(fr):"]
         if self.full is None:
             lines.append("    full = fr.full")
-        lines.append("    bel, cnd = modal_tables(fr) if tab is None else tab")
+        lines.append("    bel, cnd = modal_tables(fr)")
         if self.names:
             lines.append(f"    ev = range({self.top} + 1)")
         pad = "    "
@@ -357,10 +356,9 @@ class _Codegen:
 
 def compile_conjunctions(groups: Iterable[Iterable[Formula]], valuation: Mapping[str, int],
                          n: int) -> Callable[..., tuple[int, ...]]:
-    """Compile groups of formulas to one function (Frame, tab=None) ->
-    tuple of masks, the i-th being the intersection of the truth sets of
-    group i's formulas (the universe for an empty group), ``tab`` being
-    the frame's ``modal_tables`` when given.
+    """Compile groups of formulas to one function Frame -> tuple of masks,
+    the i-th being the intersection of the truth sets of group i's
+    formulas (the universe for an empty group).
 
     The valuation and state count are fixed at compile time, so atoms
     and the universe become constants and all the groups one
@@ -443,7 +441,7 @@ def check_km_axiom(m: Model, s: int, a: str):
         raise ValueError(f"state {s} out of range")
     if condition is None:
         return True, None
-    cex = condition(fr.update_row(s), fr.belief[s], fr.full)
+    cex = condition(fr.rows[s], fr.belief[s], fr.full)
     return cex is None, cex
 
 

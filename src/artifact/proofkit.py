@@ -60,6 +60,7 @@ from .formula import (
     Not,
     Or,
     Atom,
+    ParseError,
     TautologyBudgetError,
     _substitute,
     is_boolean,
@@ -216,8 +217,11 @@ def parse_proof_script(text: str, script_id: str, logic: str) -> ProofScript:
         if number != len(lines) + 1:
             raise ProofSyntaxError(f"expected step {len(lines) + 1}, got {number}",
                                    len(lines) + 1)
-        formula = parse_schema_text(m.group(2))
-        lines.append(ProofLine(formula, _parse_justification(m.group(3), number)))
+        try:
+            lines.append(ProofLine(parse_schema_text(m.group(2)),
+                                   _parse_justification(m.group(3), number)))
+        except ParseError as exc:  # in the step formula, a binding or a rule argument
+            raise ProofSyntaxError(str(exc), number) from None
     if not lines:
         raise ProofSyntaxError("empty proof", 1)
     return ProofScript(script_id, logic, tuple(lines), lines[-1].formula)

@@ -29,9 +29,11 @@ template's clauses inside one loop per metavariable, ordered by first
 occurrence in the template (``formula.metavariable_names``), hoists
 antecedent conjuncts to the outermost loop that binds their
 metavariables, and prunes the inner loops with a zero guard. Every modal
-node is a lookup into the frame's ``modal_tables``, built once per frame
-and shared by all the checkers of a correspondence sweep, so no binding
-rescans the belief map or the selection. ``rule_preserves_validity``
+node is a lookup into the frame's ``modal_tables``, which the frame
+builds on the first checker's call and keeps, so all the checkers run
+on one frame share one build and no binding rescans the belief map or
+the selection. Frame properties read the frame's own update rows, so a
+correspondence sweep only picks the checks. ``rule_preserves_validity``
 scans the same bindings through ``denotation``, its metavariables in
 first-occurrence order over the premises, then the conclusion; with no
 premises it is the reference validity scan for a schema. Both paths
@@ -48,8 +50,7 @@ from typing import Callable
 
 from .formula import (Formula, _match_and, _match_iff, _match_implies, metavariable_names,
                       parse_schema_text)
-from .frame import (Frame, check_property, enumerate_frames, frame_to_json, modal_tables,
-                    sample_frame)
+from .frame import Frame, check_property, enumerate_frames, frame_to_json, sample_frame
 from .model import _Codegen, denotation
 
 __all__ = [
@@ -171,10 +172,9 @@ def _flatten_and(f: Formula) -> list[Formula]:
 def compile_schema_checker(template: Formula) -> Callable[..., tuple[dict, int] | None]:
     """Build a specialized validity scanner for one schema template.
 
-    The result maps a frame, and optionally its ``modal_tables``, to None
-    (valid) or the first counterexample (metavariable binding, state),
-    scanning bindings lexicographically in first-occurrence metavariable
-    order with events ascending.
+    The result maps a frame to None (valid) or the first counterexample
+    (metavariable binding, state), scanning bindings lexicographically
+    in first-occurrence metavariable order with events ascending.
     """
     names = metavariable_names(template)
     if not names:
@@ -304,12 +304,10 @@ def run_correspondence_suite(n: int, mode: str = "exhaustive", count: int = 10_0
     total = 0
     for fr in frames:
         total += 1
-        rows = [fr.update_row(s) for s in range(fr.n)]
-        tab = modal_tables(fr)
         valid_here = {}
         for p in pairs:
-            prop = True if p.property is None else check_property(fr, p.property, rows)[0]
-            valid = checkers[p.axiom](fr, tab) is None
+            prop = True if p.property is None else check_property(fr, p.property)[0]
+            valid = checkers[p.axiom](fr) is None
             valid_here[p.axiom] = valid
             row = stats[p.axiom]
             row["property_count"] += prop

@@ -7,19 +7,21 @@ by the event of worlds compatible with it, so theories shrink as events
 grow: intersecting two theories unions their events, and expanding a
 theory by a proposition intersects its event with that proposition.
 
-A family assigns each world w a total update u(w, E) on non-empty
-events (Katsuno and Mendelzon's update family). It is a ``frame.Frame``
-on the worlds in which every world believes only itself and the table
-u[w][E-1] is the selection, so families are validated, indexed and
-serialized as frames. Lifting to an arbitrary belief event K intersects
-the updated theories of K's worlds, which at event level is the union
-of their result events: ``Frame.lift(K, E)``. The per-world audits and
-the lifted lemmas run the row predicates of ``frame`` (disjunction for
-the union bound, expansion for conditional expansion) on rows picked
-here: each world's row u(w, ·) for the hypothesis, then each belief
-event's lifted row lift(K, ·) for the conclusion. Each lemma checker
-audits the hypothesis first and reports the first violating (K, E, F)
-triple in ascending mask order.
+A family assigns each world w a total update u(w, E) on non-empty events
+(Katsuno and Mendelzon's update family). It is a ``frame.Frame`` on the
+worlds in which every world believes only itself and the table u[w][E-1]
+is the selection, so families are validated, indexed and serialized as
+frames: a family document is a frame document, which
+``family_from_json`` reads and refuses unless it has 2**k states, k from
+1 to 4, each believing only itself. Lifting to an arbitrary belief event
+K intersects the updated theories of K's worlds, which at event level is
+the union of their result events: ``Frame.lift(K, E)``. The per-world
+audits and the lifted lemmas run the row predicates of ``frame``
+(disjunction for the union bound, expansion for conditional expansion)
+on rows picked here: each world's update row ``fam.rows[w]``, u(w, ·),
+for the hypothesis, then each belief event's lifted row lift(K, ·) for
+the conclusion. Each lemma checker audits the hypothesis first and
+reports the first violating (K, E, F) triple in ascending mask order.
 """
 
 from __future__ import annotations
@@ -29,19 +31,17 @@ from dataclasses import dataclass
 from itertools import product
 
 from .frame import (
-    Frame, FrameFormatError, disjunction, expansion, frame_from_json, frame_to_json,
+    Frame, FrameFormatError, disjunction, expansion, frame_from_json,
 )
 
 __all__ = [
-    "FamilyFormatError", "WorldSpace", "world_space", "update_family",
+    "WorldSpace", "world_space", "update_family",
     "lift_update", "audit_k9", "LemmaReport",
     "check_lemma_k7s", "check_lemma_k9s", "generate_family",
-    "enumerate_families", "family_to_json", "family_from_json",
+    "enumerate_families", "family_from_json",
 ]
 
 DEFAULT_ATOMS = ("p", "q", "r", "s")
-
-FamilyFormatError = FrameFormatError  # a family document is read as a frame document
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,11 +74,11 @@ def world_space(k: int) -> WorldSpace:
     return WorldSpace(DEFAULT_ATOMS[:k])
 
 
-def update_family(space: WorldSpace, rows) -> Frame:
-    """The family with table rows[w][E-1]: a frame on the space's worlds
-    in which every world believes only itself."""
+def update_family(space: WorldSpace, table) -> Frame:
+    """The family with table[w][E-1]: a frame on the space's worlds in
+    which every world believes only itself."""
     return Frame(space.world_count,
-                 tuple(1 << w for w in range(space.world_count)), tuple(rows))
+                 tuple(1 << w for w in range(space.world_count)), tuple(table))
 
 
 def lift_update(fam: Frame, belief: int, event: int) -> int:
@@ -108,7 +108,7 @@ def _first_violation(condition, rows, full: int):
 
 
 def _world_rows(fam: Frame):
-    return ((w, b, fam.update_row(w)) for w, b in enumerate(fam.belief))
+    return zip(range(fam.n), fam.belief, fam.rows)
 
 
 def audit_k9(fam: Frame):
@@ -225,32 +225,15 @@ def enumerate_families(space: WorldSpace):
 
 
 # ---------------------------------------------------------------------------
-# serialization: the frame document with "worlds" (an atom count) for
-# "states", entries {w, event, value} under "u", and no belief map
+# serialization: a family is written as the frame it is (``frame_to_json``)
 
-def family_to_json(fam: Frame) -> dict:
-    entries = [{"w": entry["s"], "event": entry["event"], "value": entry["value"]}
-               for entry in frame_to_json(fam)["selection"]]
-    return {"worlds": fam.n.bit_length() - 1, "u": entries}
-
-
-def family_from_json(data: dict) -> Frame:
-    if not isinstance(data, dict):
-        raise FamilyFormatError("family document must be an object")
-    k = data.get("worlds")
-    if type(k) is not int or not 1 <= k <= 4:  # bool is an int subclass
-        raise FamilyFormatError("'worlds' must be an atom count from 1 to 4")
-    w_count = 1 << k
-    entries = data.get("u")
-    if not isinstance(entries, list):
-        raise FamilyFormatError("'u' must be a list of table entries")
-    selection = []
-    for entry in entries:
-        if not isinstance(entry, dict) or set(entry) != {"w", "event", "value"}:
-            raise FamilyFormatError("each entry needs exactly w, event, value")
-        w = entry["w"]
-        if type(w) is not int or not 0 <= w < w_count:
-            raise FamilyFormatError(f"world index {w!r} out of range")
-        selection.append({"s": w, "event": entry["event"], "value": entry["value"]})
-    return frame_from_json({"states": w_count, "selection": selection,
-                            "belief": [[w] for w in range(w_count)]})
+def family_from_json(data) -> Frame:
+    """The family a frame document describes; refused unless the frame
+    has 2**k states, k from 1 to 4, each believing only itself."""
+    fam = frame_from_json(data)
+    k = fam.n.bit_length() - 1
+    if (fam.n != 1 << k or not 1 <= k <= 4
+            or fam.belief != tuple(1 << w for w in range(fam.n))):
+        raise FrameFormatError("a family needs 2**k states, k from 1 to 4, "
+                               "each believing only itself")
+    return fam

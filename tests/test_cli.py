@@ -12,6 +12,7 @@ from artifact.cli import main
 from artifact.frame import Frame, check_property, frame_from_json, frame_to_json, sample_frame
 from artifact.model import make_model, model_to_json, truth_set
 from artifact.formula import And, Atom, Not, parse, parse_schema_text
+from artifact.worlds import family_from_json
 
 # serial two-state frame that fails most selection properties
 LOPSIDED = Frame(2, (1, 3), ((0, 2, 1), (1, 0, 3)))
@@ -354,7 +355,9 @@ def test_worlds_check_one_atom_exhaustive(capsys):
     conj = doc["lemmas"]["K_diamond_9s_lifted"]
     assert union["hypothesis_families"] == 2401 and union["violations"] == 0
     assert conj["hypothesis_families"] == 625 and conj["violations"] == 264
-    assert conj["first_violation"]["family"]["worlds"] == 1
+    family = conj["first_violation"]["family"]  # a frame document
+    assert family["states"] == 2 and family["belief"] == [[0], [1]]
+    assert family_from_json(family).n == 2
 
 
 def test_worlds_check_union_constraint_clean(capsys):

@@ -24,13 +24,7 @@ from artifact.frame import (
     sample_frame,
 )
 from artifact.model import model_from_json
-from artifact.worlds import (
-    FamilyFormatError,
-    family_from_json,
-    family_to_json,
-    generate_family,
-    world_space,
-)
+from artifact.worlds import family_from_json, generate_family, world_space
 
 # n=2, B(0)={0}, B(1)={0,1}; selection rows are (E={0}, E={1}, E={0,1}).
 DEMO = Frame(2, (1, 3), ((0, 2, 1), (1, 0, 3)))
@@ -322,7 +316,7 @@ def _one_state_doc():
 
 
 def _one_atom_family_doc():
-    return family_to_json(generate_family(world_space(1), 0, "none"))
+    return frame_to_json(generate_family(world_space(1), 0, "none"))
 
 
 def _set(doc, path, value):
@@ -339,9 +333,10 @@ def _set(doc, path, value):
     (_one_state_doc, frame_from_json, FrameFormatError, ("selection", 0, "s"), False),
     (_one_state_doc, frame_from_json, FrameFormatError, ("belief", 0, 0), False),
     (_one_state_doc, frame_from_json, FrameFormatError, ("selection", 0, "event", 0), False),
-    (_one_atom_family_doc, family_from_json, FamilyFormatError, ("worlds",), True),
-    (_one_atom_family_doc, family_from_json, FamilyFormatError, ("u", 0, "w"), False),
-    (_one_atom_family_doc, family_from_json, FamilyFormatError, ("u", 0, "event", 0), False),
+    (_one_atom_family_doc, family_from_json, FrameFormatError, ("states",), True),
+    (_one_atom_family_doc, family_from_json, FrameFormatError, ("selection", 0, "s"), False),
+    (_one_atom_family_doc, family_from_json, FrameFormatError,
+     ("selection", 0, "event", 0), False),
 ])
 def test_json_rejects_booleans_as_integers(make, load, error, path, value):
     doc = make()
@@ -360,8 +355,8 @@ def _one_state_model_doc():
     (_one_state_doc, frame_from_json, ("selection", 0, "value")),
     (_one_state_model_doc, model_from_json, ("belief", 0)),
     (_one_state_model_doc, model_from_json, ("valuation", "p")),
-    (_one_atom_family_doc, family_from_json, ("u", 0, "event")),
-    (_one_atom_family_doc, family_from_json, ("u", 0, "value")),
+    (_one_atom_family_doc, family_from_json, ("selection", 0, "event")),
+    (_one_atom_family_doc, family_from_json, ("selection", 0, "value")),
 ])
 @pytest.mark.parametrize("value", [0, 1, {"0": 0}])
 def test_json_rejects_non_list_index_fields(make, load, path, value):

@@ -20,6 +20,7 @@ from artifact.proofkit import (
     check_script,
     delete_line,
     format_proof_script,
+    match_template,
     parse_proof_script,
     script_dependencies,
     verify_containment,
@@ -68,12 +69,20 @@ def test_conjunction_splitting_dependencies():
 
 
 def test_rule_scripts_match_registry_templates():
+    """Every derived registry item is what its script proves: a rule's
+    premises and conclusion are its script's, and a theorem's conclusion
+    is an instance of its script's target (A_star_1_diamond_0's script
+    proves the general-sorted form, of which the Boolean item is one)."""
     from artifact.schema import REGISTRY as AXIOMS
-    for rid in REMARK_RULES:
-        script = REGISTRY.script(rid)
-        assert script.is_rule
-        assert script.premises == AXIOMS[rid].premises
-        assert script.target == AXIOMS[rid].conclusion
+    derived = {a for a, info in AXIOMS.items() if info.theorem_of_l}
+    assert derived == set(REMARK_RULES) | set(REMARK_THEOREMS)
+    for a in sorted(derived):
+        info, script = AXIOMS[a], REGISTRY.script(a)
+        assert script.is_rule == bool(info.premises), a
+        if info.premises:
+            assert (script.premises, script.target) == (info.premises, info.conclusion), a
+        else:
+            assert match_template(script.target, info.conclusion) is not None, a
 
 
 def test_text_round_trip():
@@ -90,6 +99,14 @@ def test_text_round_trip():
     ("1. B ALPHA ; ax D_B [omega=ALPHA]", "unknown metavariable"),
     ("1. B ALPHA ; mp 1", "two line numbers"),
     ("", "empty proof"),
+    # formula parse errors name their step: the step formula, an ax or
+    # lemma binding, and a rule's formula argument
+    ("1. B ALPHA ; taut\n2. B( ; taut",
+     r"^line 2: expected a formula, found end of input \(at offset 2\)$"),
+    ("1. B ALPHA ; ax D_B [alpha=ALPHA &]", r"^line 1: expected a formula"),
+    ("1. B ALPHA ; lemma C_B_inv [beta=)]", r"^line 1: unbalanced '\)'"),
+    ("1. B ALPHA ; premise\n2. (GAMMA > B ALPHA) ; nec_cond 1 B(",
+     r"^line 2: expected a formula"),
 ])
 def test_parse_rejects(text, complaint):
     with pytest.raises(ProofSyntaxError, match=complaint):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.formula import Atom, parse, parse_schema_text
-from artifact.frame import (Frame, check_property, enumerate_frames, frame_to_json,
-                            modal_tables, sample_frame)
+from artifact import frame as frame_module
+from artifact.frame import (PROPERTY_IDS, Frame, check_property, enumerate_frames,
+                            frame_to_json, modal_tables, sample_frame)
 from artifact.model import (UnvaluedAtomError, compile_conjunctions, denotation, make_model,
                             truth_set)
 from artifact.schema import (
@@ -120,13 +121,29 @@ def test_modal_tables_match_the_truth_clauses():
                        for e in events], fr
 
 
-def test_compiled_checkers_agree_with_and_without_shared_tables():
+def test_frames_build_their_tables_once_and_checkers_only_read_them(monkeypatch):
+    """Every schema checker and every frame property run on one frame
+    share the frame's one build of its modal tables (2**n inclusion rows:
+    the belief row and one per non-empty event), leave them as a fresh
+    build gives them, and find what they find on a fresh frame. The
+    frame's update rows are U(s, E)."""
+    builds = []
+    build = frame_module._inclusion_row
+    monkeypatch.setattr(frame_module, "_inclusion_row",
+                        lambda events, full: builds.append(full) or build(events, full))
     checkers = [compile_schema_checker(REGISTRY[a].conclusion) for a in SCHEMA_IDS]
     for fr in _table_frames():
-        tab = modal_tables(fr)
-        for a, check in zip(SCHEMA_IDS, checkers):
-            assert check(fr, tab) == check(fr), (a, fr)
-        assert tab == modal_tables(fr), fr  # no checker writes to the shared tables
+        builds.clear()
+        verdicts = [check(fr) for check in checkers]
+        properties = [check_property(fr, prop) for prop in PROPERTY_IDS]
+        assert len(builds) == 1 << fr.n, fr
+        fresh = Frame(fr.n, fr.belief, fr.selection)
+        assert modal_tables(fr) == modal_tables(fresh), fr
+        assert verdicts == [check(Frame(fr.n, fr.belief, fr.selection))
+                            for check in checkers], fr
+        assert properties == [check_property(fresh, prop) for prop in PROPERTY_IDS], fr
+        for s in range(fr.n):
+            assert fr.rows[s] == (0, *(fr.update(s, e) for e in range(1, fr.full + 1))), fr
 
 
 def test_event_instantiation_matches_formula_semantics():

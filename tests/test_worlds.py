@@ -4,16 +4,15 @@ from itertools import chain, combinations
 
 import pytest
 
-from artifact.frame import Frame, check_property
+from artifact.frame import (Frame, FrameFormatError, check_property, frame_from_json,
+                            frame_to_json)
 from artifact.worlds import (
-    FamilyFormatError,
     WorldSpace,
     audit_k9,
     check_lemma_k7s,
     check_lemma_k9s,
     enumerate_families,
     family_from_json,
-    family_to_json,
     generate_family,
     lift_update,
     update_family,
@@ -240,7 +239,7 @@ def test_first_counterexamples_match_a_pointwise_scan_at_one_atom():
     for space in (SP1, SP2):
         for constraint in ("none", "k7", "k9"):
             fam = generate_family(space, 5, constraint)
-            for made in (fam, family_from_json(family_to_json(fam))):
+            for made in (fam, family_from_json(frame_to_json(fam))):
                 assert isinstance(made, Frame)
                 assert made.belief == IDENTITY_BELIEFS[space.world_count]
 
@@ -370,29 +369,51 @@ def test_enumerate_families_scope():
 def test_family_json_round_trip():
     for space, constraint in ((SP1, "none"), (SP2, "k9"), (SP2, "none")):
         fam = generate_family(space, 13, constraint)
-        data = family_to_json(fam)
-        assert data["worlds"] == len(space.atoms)
-        assert len(data["u"]) == space.world_count * space.full
+        data = frame_to_json(fam)
+        assert data["states"] == space.world_count
+        assert data["belief"] == [[w] for w in range(space.world_count)]
+        assert len(data["selection"]) == space.world_count * space.full
         assert family_from_json(data) == fam
 
 
-def test_family_json_rejects_malformed_documents():
-    good = family_to_json(generate_family(SP1, 0, "none"))
+def _family_doc(**changes):
+    return {**frame_to_json(generate_family(SP1, 0, "none")), **changes}
 
-    with pytest.raises(FamilyFormatError, match="must be an object"):
+
+def test_family_json_rejects_malformed_documents():
+    good = _family_doc()
+    entries = good["selection"]
+
+    with pytest.raises(FrameFormatError, match="must be an object"):
         family_from_json([])
-    with pytest.raises(FamilyFormatError, match="atom count"):
-        family_from_json({"worlds": 0, "u": []})
-    with pytest.raises(FamilyFormatError, match="not total"):
-        family_from_json({"worlds": 1, "u": good["u"][:-1]})
-    with pytest.raises(FamilyFormatError, match="duplicate"):
-        family_from_json({"worlds": 1, "u": good["u"] + [good["u"][0]]})
-    with pytest.raises(FamilyFormatError, match="empty event"):
-        family_from_json({"worlds": 1,
-                          "u": good["u"] + [{"w": 0, "event": [], "value": []}]})
-    with pytest.raises(FamilyFormatError, match="exactly w, event, value"):
-        family_from_json({"worlds": 1, "u": [{"w": 0}]})
-    with pytest.raises(FamilyFormatError, match="out of range"):
-        bad = [dict(e) for e in good["u"]]
-        bad[0]["w"] = 9
-        family_from_json({"worlds": 1, "u": bad})
+    with pytest.raises(FrameFormatError, match="not total"):
+        family_from_json(_family_doc(selection=entries[:-1]))
+    with pytest.raises(FrameFormatError, match="duplicate"):
+        family_from_json(_family_doc(selection=entries + [entries[0]]))
+    with pytest.raises(FrameFormatError, match="empty event"):
+        family_from_json(_family_doc(
+            selection=entries + [{"s": 0, "event": [], "value": []}]))
+    with pytest.raises(FrameFormatError, match="malformed selection entry"):
+        family_from_json(_family_doc(selection=[{"s": 0}]))
+    with pytest.raises(FrameFormatError, match="out of range"):
+        bad = [dict(e) for e in entries]
+        bad[0]["s"] = 9
+        family_from_json(_family_doc(selection=bad))
+
+
+def _frame_doc(n, belief):
+    return frame_to_json(Frame(n, belief, ((0,) * ((1 << n) - 1),) * n))
+
+
+@pytest.mark.parametrize("doc", [
+    _frame_doc(1, (1,)),  # one state: no atom
+    _frame_doc(3, (1, 2, 4)),  # not a power of two
+    _frame_doc(2, (1, 3)),  # world 1 believes both worlds
+    _frame_doc(2, (2, 1)),  # each world believes the other
+    _frame_doc(4, (1, 2, 4, 4)),  # world 3 believes world 2
+], ids=["one-state", "three-state", "shared-belief", "swapped-belief", "repeated-belief"])
+def test_family_json_refuses_frames_that_are_not_families(doc):
+    frame_from_json(doc)  # a valid frame document, but not a family
+    with pytest.raises(FrameFormatError, match=r"2\*\*k states, k from 1 to 4, "
+                                               "each believing only itself"):
+        family_from_json(doc)
