@@ -41,6 +41,7 @@ from .formula import (
 )
 from .frame import (
     PROPERTY_IDS,
+    Frame,
     check_property,
     enumerate_frames,
     frame_count,
@@ -58,7 +59,6 @@ from .model import (
     make_model,
     model_from_json,
     truth_set,
-    update_event,
 )
 from .proofkit import (
     builtin_registry,
@@ -82,6 +82,7 @@ _USAGE_ERRORS = (OSError, json.JSONDecodeError, ParseError, ValueError)
 # Work budgets: runs past these sizes cannot finish, so they are refused
 # before any of the work starts.
 _BRIDGE_MAX_STATES = 5  # formula instances grow about 8.5x per state
+_CHECK_MAX_STATES = 12  # frame-check and check-km: pair scans grow about 4.5x per state
 _CORRESPOND_MAX_STATES = 7  # three-metavariable checkers bind (2^n)^3 events
 _WORLDS_MAX_ATOMS = 3  # lemma steps grow with the cube of 2^(2^atoms) - 1
 
@@ -100,7 +101,20 @@ def _at_least_one(text: str) -> int:
 
 def _load_json(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
+def _checkable(fr: Frame, what: str) -> Frame:
+    """The frame, unless checking it cannot finish."""
+    if fr.n > _CHECK_MAX_STATES:
+        raise ValueError(
+            f"refusing {what} with {fr.n} states: the checks scan pairs of "
+            f"events, about 4.5x more work per state; at most "
+            f"{_CHECK_MAX_STATES} states")
+    return fr
 
 
 def _emit(args, doc: dict, text: str) -> None:
@@ -143,7 +157,7 @@ def _render_witness(witness) -> dict | None:
 
 
 def _cmd_frame_check(args) -> int:
-    fr = frame_from_json(_load_json(args.frame))
+    fr = _checkable(frame_from_json(_load_json(args.frame)), "a frame")
     props = PROPERTY_IDS if args.property == "all" else (args.property,)
     rows = {}
     for prop in props:
@@ -177,20 +191,21 @@ def _cmd_frame_enum(args) -> int:
 
 def _cmd_check_km(args) -> int:
     m = model_from_json(_load_json(args.model))
-    if not 0 <= args.state < m.frame.n:
-        raise ValueError(f"state {args.state} out of range for {m.frame.n} states")
-    if args.bridge and m.frame.n > _BRIDGE_MAX_STATES:
+    fr = _checkable(m.frame, "a model")
+    if not 0 <= args.state < fr.n:
+        raise ValueError(f"state {args.state} out of range for {fr.n} states")
+    if args.bridge and fr.n > _BRIDGE_MAX_STATES:
         raise ValueError(
-            f"refusing --bridge on a model with {m.frame.n} states: its formula "
+            f"refusing --bridge on a model with {fr.n} states: its formula "
             f"instances grow about 8.5x per state (113,566 at 5 states); "
             f"at most {_BRIDGE_MAX_STATES} states")
     axioms = KM_AXIOM_IDS if args.axiom == "all" else (args.axiom,)
-    instances = (km_formula_instances(m.frame.n, m.valuation_map())
+    instances = (km_formula_instances(fr.n, m.valuation_map())
                  if args.bridge else None)
     rows = {}
     ok = True
     for a in axioms:
-        holds, witness = check_km_axiom(m, args.state, a)
+        holds, witness = check_km_axiom(fr, args.state, a)
         row = {"holds": holds, "witness": _render_witness(
             None if witness is None else (args.state, *witness))}
         if args.bridge:
@@ -399,8 +414,8 @@ def criterion_formula_bridge() -> dict:
     every postulate, the states where all of its instances hold; both
     functions read the frame's one build of its modal tables, and the
     event level reads its update rows. The first valuation's instance
-    table also serves the spot checks through the per-model
-    evaluator."""
+    table also serves the spot checks through the per-model evaluator,
+    on every 1,024th frame: the only frames made into models."""
     tables = [km_formula_instances(2, valuation) for valuation in _SEPARATING]
     compiled = [compile_conjunctions([table[a] for a in KM_AXIOM_IDS], valuation, 2)
                 for table, valuation in zip(tables, _SEPARATING)]
@@ -408,11 +423,10 @@ def criterion_formula_bridge() -> dict:
     disagreements = []
     spot_checks = 0
     for index, fr in enumerate(enumerate_frames(2)):
-        m = make_model(fr, _SEPARATING[0])
         masks = [run(fr) for run in compiled]
         for i, a in enumerate(KM_AXIOM_IDS):
             for s in (0, 1):
-                event_level = check_km_axiom(m, s, a)[0]
+                event_level = check_km_axiom(fr, s, a)[0]
                 for mask in masks:
                     checked += 1
                     if (mask[i] >> s & 1) != event_level and len(disagreements) < 10:
@@ -420,10 +434,11 @@ def criterion_formula_bridge() -> dict:
                             {"frame": frame_to_json(fr), "axiom": a, "state": s})
         if index % 1024 == 0:
             # tie the per-model formula evaluator itself into the sweep
+            m = make_model(fr, _SEPARATING[0])
             for a in KM_AXIOM_IDS:
                 via = check_km_axiom_via_formulas(m, 0, a, tables[0])
                 spot_checks += 1
-                if via != check_km_axiom(m, 0, a)[0]:
+                if via != check_km_axiom(fr, 0, a)[0]:
                     disagreements.append(
                         {"frame": frame_to_json(fr), "axiom": a, "state": 0,
                          "path": "check_km_axiom_via_formulas"})
@@ -557,13 +572,12 @@ def criterion_foundations(seed: int) -> dict:
     top_failures = 0
     belief_consistency_failures = 0
     for fr in enumerate_frames(2):
-        m = make_model(fr, {"p": 0b01})
         for s in range(fr.n):
             for event in range(1, fr.full + 1):
-                if update_event(m, s, event) & ~fr.full:
+                if fr.update(s, event) & ~fr.full:
                     top_failures += 1
             try:
-                update_event(m, s, 0)
+                fr.update(s, 0)
             except ValueError:
                 pass
             else:

@@ -18,8 +18,10 @@ right-associative, loosest to tightest):
     unary   := "~" unary | "B" unary | "[]" unary | atom
              | "(" formula ")" | "(" formula ">" formula ")"
 
-The conditional appears only inside parentheses. Atom identifiers match
-``[a-z][a-z0-9_]*``. Schema templates additionally use uppercase
+The conditional appears only inside parentheses. Each parenthesis, prefix
+operator and binary operator nests a formula one level deeper, and a
+formula nested deeper than 64 levels is a parse error. Atom identifiers
+match ``[a-z][a-z0-9_]*``. Schema templates additionally use uppercase
 metavariables: PHI, PSI, CHI range over Boolean formulas only; ALPHA,
 BETA, GAMMA range over arbitrary formulas.
 """
@@ -234,10 +236,22 @@ def _tokenize(text: str, schema_mode: bool) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Parentheses, prefix operators and binary operators each nest a formula
+# one level deeper, and a formula nested deeper than this is refused. The
+# recursive walkers over formulas (evaluation, printing, substitution,
+# matching, equality) then stay well inside the interpreter's recursion
+# limit, and so does the parser, at about six frames per parenthesis.
+_MAX_DEPTH = 64
+
+_PREFIX = {"NOT": Not, "B": Believes, "BOX": Box}
+_INFIX = (("IFF", Iff), ("IMP", Implies), ("OR", Or), ("AND", And))  # loosest first
+
+
 class _Parser:
     def __init__(self, text: str, schema_mode: bool):
         self.tokens = _tokenize(text, schema_mode)
         self.pos = 0
+        self.open = 0  # parentheses and prefix operators around the next token
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -254,52 +268,65 @@ class _Parser:
                              else f"expected {what}, found end of input", tok[2])
         return tok
 
-    def formula(self) -> Formula:
-        return self._chain("IFF", Iff,
-                           lambda: self._chain("IMP", Implies,
-                           lambda: self._chain("OR", Or,
-                           lambda: self._chain("AND", And, self.unary))))
+    @staticmethod
+    def check_depth(depth: int, pos: int) -> None:
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {_MAX_DEPTH} levels", pos)
 
-    def _chain(self, kind, build, sub) -> Formula:
-        parts = [sub()]
+    def formula(self, level: int = 0) -> tuple[Formula, int]:
+        """The formula at this precedence level, with its depth: operands
+        of the next level joined by this level's operator, grouped to the
+        right."""
+        if level == len(_INFIX):
+            return self.unary()
+        kind, build = _INFIX[level]
+        start = self.peek()[2]
+        parts = [self.formula(level + 1)]
         while self.peek()[0] == kind:
             self.take()
-            parts.append(sub())
-        f = parts[-1]
-        for g in reversed(parts[:-1]):
-            f = build(g, f)
-        return f
+            parts.append(self.formula(level + 1))
+        f, depth = parts.pop()
+        if parts:
+            for g, d in reversed(parts):
+                f, depth = build(g, f), max(d, depth) + 1
+            self.check_depth(depth, start)
+        return f, depth
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         kind, value, pos = self.take()
-        if kind == "NOT":
-            return Not(self.unary())
-        if kind == "B":
-            return Believes(self.unary())
-        if kind == "BOX":
-            return Box(self.unary())
         if kind == "IDENT":
-            return Atom(value)
+            return Atom(value), 0
         if kind == "METAVAR":
-            return mv(value)
-        if kind == "LPAREN":
-            f = self.formula()
-            if self.peek()[0] == "GT":
-                self.take()
-                g = self.formula()
-                self.expect("RPAREN", "')' closing conditional")
-                return Cond(f, g)
-            self.expect("RPAREN", "')'")
-            return f
+            return mv(value), 0
         if kind == "RPAREN":
             raise ParseError("unbalanced ')'", pos)
-        raise ParseError(f"expected a formula, found {value!r}" if value
-                         else "expected a formula, found end of input", pos)
+        if kind != "LPAREN" and kind not in _PREFIX:
+            raise ParseError(f"expected a formula, found {value!r}" if value
+                             else "expected a formula, found end of input", pos)
+        # refused on the way down too, before the parser's own recursion
+        # can grow past the bound
+        self.open += 1
+        self.check_depth(self.open, pos)
+        if kind == "LPAREN":
+            f, depth = self.formula()
+            if self.peek()[0] == "GT":
+                self.take()
+                g, d = self.formula()
+                self.expect("RPAREN", "')' closing conditional")
+                f, depth = Cond(f, g), max(depth, d)
+            else:
+                self.expect("RPAREN", "')'")
+        else:
+            f, depth = self.unary()
+            f = _PREFIX[kind](f)
+        self.open -= 1
+        self.check_depth(depth + 1, pos)
+        return f, depth + 1
 
 
 def _parse(text: str, schema_mode: bool) -> Formula:
     p = _Parser(text, schema_mode)
-    f = p.formula()
+    f = p.formula()[0]
     kind, value, pos = p.peek()
     if kind != "END":
         raise ParseError(f"trailing input starting with {value!r}", pos)

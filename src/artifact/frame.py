@@ -7,8 +7,9 @@ states; no constraint beyond totality is placed on the selection, so a
 selected event may be empty.
 
 ``Frame.lift(K, E)`` is the union of f(s', E) over the states s' of a
-belief event K, and the lifted selection U(s, E) is ``lift(belief[s], E)``;
-the accessors reject a state or event outside the frame with ValueError.
+belief event K, and the lifted selection U(s, E) is ``Frame.update(s, E)``,
+``lift(belief[s], E)``. Both refuse with ValueError a state or event
+outside the frame, the empty event and an empty belief event.
 A world-level update family (``worlds``) is a frame in which every state
 believes only itself, so its lift to a belief set K is ``lift(K, E)``.
 
@@ -125,21 +126,16 @@ class Frame:
     def full(self) -> int:
         return (1 << self.n) - 1
 
-    def _state(self, s: int) -> int:
-        if not 0 <= s < self.n:
-            raise ValueError(f"state {s} out of range")
-        return s
-
-    def select(self, s: int, event: int) -> int:
-        """f(s, E)."""
-        return self.lift(1 << self._state(s), event)
-
     def update(self, s: int, event: int) -> int:
         """U(s, E): union of selections over the believed states."""
-        return self.lift(self.belief[self._state(s)], event)
+        if not 0 <= s < self.n:
+            raise ValueError(f"state {s} out of range")
+        return self.lift(self.belief[s], event)
 
     def lift(self, belief: int, event: int) -> int:
         """Union of f(s', E) over the states s' of a belief event."""
+        if belief == 0:
+            raise ValueError("empty belief-set event: inconsistent initial beliefs")
         if event == 0:
             raise ValueError("update is undefined on the empty event")
         if (belief | event) & ~self.full:  # negative masks included

@@ -29,14 +29,18 @@ belief only once per frame: the event/formula bridge compiles one such
 function per valuation for all of a postulate table's instances.
 
 The belief-change reading: psi belongs to the changed belief set at s
-after input phi iff update_event(m, s, den(phi)) is a subset of
-den(psi). ``check_km_axiom`` decides the update postulates with formulas
-replaced by their denotations, running the row predicates of ``frame``
-on the one state's row ``fr.rows[s]``, U(s, ·), the same predicates the
-frame properties run on every state's row. The formula level is the
-registry's own L_KM items (``schema.KM_IDS``) under characteristic
-formulas: ``km_formula_instances`` substitutes characteristic formulas
-of the valuation into each item's conclusion. One table,
+after input phi iff the frame's update U(s, den(phi)),
+``fr.update(s, den(phi))``, is a subset of den(psi). The update
+postulates are conditions on the frame alone, and only their modal
+restatements read a valuation. ``check_km_axiom`` takes a frame and
+decides the postulates with formulas replaced by their denotations,
+running the row predicates of ``frame`` on the one state's row
+``fr.rows[s]``, U(s, ·), the same predicates the frame properties run on
+every state's row. The formula level is the registry's own L_KM items
+(``schema.KM_IDS``) under characteristic formulas:
+``km_formula_instances`` substitutes characteristic formulas of the
+valuation into each item's conclusion, so it is the one layer that
+needs a model. One table,
 ``_KM_POSTULATES``, gives each postulate its row predicate, its item and
 its bindings, so the two layers can be played against each other, and a
 wrong registry schema shows up as a disagreement between them.
@@ -69,7 +73,7 @@ from .frame import (Frame, FrameFormatError, bits, conjunction, consistency, dis
 
 __all__ = [
     "Model", "UnvaluedAtomError", "NonSeparatingValuationError",
-    "make_model", "denotation", "truth_set", "holds_at", "update_event",
+    "make_model", "denotation", "truth_set", "holds_at",
     "KM_AXIOM_IDS", "check_km_axiom", "characteristic_formula",
     "km_formula_instances", "check_km_axiom_via_formulas", "compile_conjunctions",
     "model_to_json", "model_from_json",
@@ -161,15 +165,6 @@ def holds_at(m: Model, s: int, f: Formula) -> bool:
     if not 0 <= s < m.frame.n:
         raise ValueError(f"state {s} out of range")
     return bool(truth_set(m, f) >> s & 1)
-
-
-def update_event(m: Model, s: int, event: int) -> int:
-    """The union of f(s', E) over believed s': the semantic kernel of the
-    changed belief set. psi is in the changed set iff this is inside
-    den(psi)."""
-    if event == 0:
-        raise ValueError("empty event: inconsistent informational input")
-    return m.frame.update(s, event)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +388,7 @@ def _conjoin(terms: list[str]) -> str:
 # to on one state's update row, the L_KM item it restates, and that
 # item's (PHI, PSI, CHI) bindings, given the characteristic formulas k
 # of all events and the non-empty events ne. The predicate is None for
-# the postulates that hold on every model: the changed belief set is
+# the postulates that hold on every frame: the changed belief set is
 # deductively closed, contradiction-updated and denotation-determined by
 # construction. K_diamond_3a and K_diamond_4 are the conclusions of
 # rules at bindings that make the premise a theorem, PHI = ⊥ (premise
@@ -423,20 +418,20 @@ _KM_POSTULATES = {
 KM_AXIOM_IDS = tuple(_KM_POSTULATES)
 
 
-def check_km_axiom(m: Model, s: int, a: str):
-    """Decide an update postulate at state s with formulas replaced by
-    their denotations, quantifying over non-empty events (pairs where the
-    postulate mentions two inputs): the postulate's row predicate on
-    U(s, ·). Returns (holds, counterexample) where the counterexample is
-    (E,) or (E, F).
+def check_km_axiom(fr: Frame, s: int, a: str):
+    """Decide an update postulate at state s of a frame with formulas
+    replaced by their denotations, quantifying over non-empty events
+    (pairs where the postulate mentions two inputs): the postulate's row
+    predicate on U(s, ·), reading only ``fr.rows``, ``fr.belief`` and
+    ``fr.full``. Returns (holds, counterexample) where the
+    counterexample is (E,) or (E, F).
 
-    K_diamond_0, K_diamond_3a and K_diamond_4 hold on every model.
+    K_diamond_0, K_diamond_3a and K_diamond_4 hold on every frame.
     """
     try:
         condition = _KM_POSTULATES[a][0]
     except KeyError:
         raise ValueError(f"unknown update postulate {a!r}") from None
-    fr = m.frame
     if not 0 <= s < fr.n:
         raise ValueError(f"state {s} out of range")
     if condition is None:

@@ -163,6 +163,8 @@ def _parse_binding(text: str, lineno: int) -> tuple[tuple[str, Formula], ...]:
         name = _LOWER_NAMES.get(key.strip())
         if name is None:
             raise ProofSyntaxError(f"unknown metavariable {key.strip()!r}", lineno)
+        if any(name == bound for bound, _ in pairs):
+            raise ProofSyntaxError(f"{key.strip()} is bound twice", lineno)
         pairs.append((name, parse_schema_text(value.strip())))
     return tuple(pairs)
 

@@ -15,7 +15,9 @@ frames: a family document is a frame document, which
 ``family_from_json`` reads and refuses unless it has 2**k states, k from
 1 to 4, each believing only itself. Lifting to an arbitrary belief event
 K intersects the updated theories of K's worlds, which at event level is
-the union of their result events: ``Frame.lift(K, E)``. The per-world
+the union of their result events: ``Frame.lift(K, E)``, which
+``lift_update`` names here and whose refusals (an empty belief event, an
+empty event, anything outside the family) it keeps. The per-world
 audits and the lifted lemmas run the row predicates of ``frame``
 (disjunction for the union bound, expansion for conditional expansion)
 on rows picked here: each world's update row ``fam.rows[w]``, u(w, ·),
@@ -82,15 +84,10 @@ def update_family(space: WorldSpace, table) -> Frame:
 
 
 def lift_update(fam: Frame, belief: int, event: int) -> int:
-    """Union over the belief event's worlds of their updates.
-
-    This is the event-level form of intersecting the updated theories
-    of all worlds compatible with the initial belief set.
-    """
-    if belief == 0:
-        raise ValueError("empty belief-set event: inconsistent initial beliefs")
-    if event == 0:
-        raise ValueError("empty input event")
+    """Union over the belief event's worlds of their updates: the
+    event-level form of intersecting the updated theories of all worlds
+    compatible with the initial belief set. ``Frame.lift`` under the
+    family's name; its refusals are the frame's."""
     return fam.lift(belief, event)
 
 

@@ -2,6 +2,7 @@
 round-trips."""
 
 import functools
+import itertools
 import json
 import random
 
@@ -181,9 +182,51 @@ def test_check_km_bridge_refuses_large_models_up_front(tmp_path, monkeypatch, ca
     assert main(["check-km", "--model", str(path), "--state", "0", "--bridge"]) == 2
     err = capsys.readouterr().err
     assert "6 states" in err and "at most 5" in err
-    # the event-level check alone is cheap at any size
+    # the event-level check alone is cheap at this size
     assert main(["check-km", "--model", str(path), "--state", "0"]) in (0, 1)
     capsys.readouterr()
+
+
+def test_frame_check_and_check_km_refuse_large_frames_up_front(tmp_path, monkeypatch, capsys):
+    n = 13
+    events = tuple(range(1, 1 << n))
+    identity = Frame(n, tuple(1 << s for s in range(n)), (events,) * n)
+    path = tmp_path / "thirteen.json"
+    path.write_text(json.dumps(model_to_json(make_model(identity, {"p": 1}))))
+
+    def never(*args):
+        raise AssertionError("a predicate ran")
+
+    monkeypatch.setattr(cli, "check_property", never)
+    monkeypatch.setattr(cli, "check_km_axiom", never)
+    for argv in (["frame-check", "--frame", str(path)],
+                 ["check-km", "--model", str(path), "--state", "0"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "13 states" in err and "at most 12" in err
+    twelve = Frame(12, identity.belief[:12], (events[:(1 << 12) - 1],) * 12)
+    assert cli._checkable(twelve, "a frame") is twelve
+
+
+def test_deeply_nested_input_is_an_input_error(model_path, tmp_path, capsys):
+    brackets = tmp_path / "brackets.json"
+    brackets.write_text("[" * 100_000)
+    script = tmp_path / "deep.proof"
+    script.write_text("1. " + "(" * 150 + "PHI | ~PHI" + ")" * 150 + " ; taut\n")
+    for argv, complaint in (
+        (["eval", "--model", model_path, "--state", "0",
+          "--formula", "(" * 200 + "p" + ")" * 200], "nested deeper than 64 levels"),
+        (["truth-set", "--model", model_path, "--formula", " | ".join(["p"] * 5_000)],
+         "nested deeper than 64 levels"),
+        (["prove-check", str(script)], "line 1: formula nested deeper than 64 levels"),
+        (["frame-check", "--frame", str(brackets)], "JSON nested too deeply"),
+    ):
+        assert main(argv) == 2
+        assert complaint in capsys.readouterr().err
+    # at the bound the formula is read and evaluated
+    assert main(["eval", "--model", model_path, "--state", "0",
+                 "--formula", "(" * 64 + "p" + ")" * 64]) == 0
+    assert capsys.readouterr().out.strip() == "true"
 
 
 class _Reached(Exception):
@@ -260,12 +303,31 @@ def test_bridge_compiles_one_function_per_valuation_on_every_call(monkeypatch):
                           "disagreements": []}
 
 
+def test_models_are_built_only_where_a_valuation_is_read(monkeypatch):
+    made = []
+    real = cli.make_model
+
+    def counted(fr, valuation):
+        made.append(fr)
+        return real(fr, valuation)
+
+    monkeypatch.setattr(cli, "make_model", counted)
+    frames = list(itertools.islice(cli.enumerate_frames(2), 1_100))
+    report = _bridge(monkeypatch, frames)
+    # the spot checks run on every 1,024th frame, and only they need a model
+    assert report["ok"] and report["spot_checks"] == 2 * 9
+    assert made == [frames[0], frames[1_024]]
+    made.clear()
+    assert cli.criterion_foundations(0)["ok"]
+    assert made == []
+
+
 def test_bridge_reports_a_flipped_event_level_verdict(monkeypatch):
     real = cli.check_km_axiom
 
-    def flipped(m, s, a):
-        holds, cex = real(m, s, a)
-        if (m.frame, a, s) == (LOPSIDED, "K_diamond_5", 1):
+    def flipped(fr, s, a):
+        holds, cex = real(fr, s, a)
+        if (fr, a, s) == (LOPSIDED, "K_diamond_5", 1):
             return not holds, cex
         return holds, cex
 

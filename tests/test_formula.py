@@ -167,6 +167,37 @@ def test_parse_error_positions():
         parse("")
 
 
+def _at_depth(k: int) -> list[str]:
+    """Formulas nested exactly k levels deep, one shape per way of nesting."""
+    return ["(" * k + "p" + ")" * k,
+            "~" * k + "p",
+            " & ".join(["p"] * (k + 1)),
+            " -> ".join(["p"] * (k + 1)),
+            "(" * k + "p" + " > q)" * k,
+            "[]" * (k % 3) + "B(p -> " * (k // 3 - 1) + "B(p | q)" + ")" * (k // 3 - 1)]
+
+
+def test_formula_at_the_depth_bound_parses_prints_and_evaluates():
+    from artifact.formula import _MAX_DEPTH
+    from artifact.frame import Frame
+    from artifact.model import denotation
+    from artifact.proofkit import match_template
+    fr = Frame(2, (1, 3), ((1, 2, 3), (1, 2, 2)))
+    binding = {"PHI": p, "PSI": q}
+    for text in _at_depth(_MAX_DEPTH):
+        f = parse(text)
+        assert parse(print_formula(f)) == f
+        assert denotation(fr, f, {"p": 0b01, "q": 0b10}) in range(4)
+        assert is_tautology(f) in (True, False)
+        template = parse_schema_text(text.replace("p", "PHI").replace("q", "PSI"))
+        assert instantiate(template, binding) == f
+        assert match_template(template, f) == {
+            name: binding[name] for name in metavariable_names(template)}
+    for text in _at_depth(_MAX_DEPTH + 1):
+        with pytest.raises(ParseError, match=f"nested deeper than {_MAX_DEPTH} levels"):
+            parse(text)
+
+
 def test_parse_schema_text_metavariables():
     assert parse_schema_text("B(PHI > PSI)") == Believes(Cond(mv("PHI"), mv("PSI")))
     assert parse_schema_text("ALPHA -> B ALPHA") == Implies(mv("ALPHA"), Believes(mv("ALPHA")))

@@ -28,7 +28,6 @@ from artifact.model import (
     model_from_json,
     model_to_json,
     truth_set,
-    update_event,
 )
 
 # Both states believe {0,1}; conditioning on {0,1} picks out the actual
@@ -116,14 +115,13 @@ def test_metavariable_rejected():
 
 # -- belief change -----------------------------------------------------------
 
-def test_update_event_examples():
-    assert update_event(M, 0, 0b11) == 0b11      # union of {0} and {1}
-    assert update_event(M, 0, 0b01) == 0b01
+def test_update_examples():
+    assert POINTED.update(0, 0b11) == 0b11      # union of {0} and {1}
+    assert POINTED.update(0, 0b01) == 0b01
     empty_sel = Frame(2, (3, 3), ((0, 0, 0), (0, 0, 0)))
-    m2 = make_model(empty_sel, {"p": 0b01})
-    assert update_event(m2, 0, 0b11) == 0
+    assert empty_sel.update(0, 0b11) == 0
     with pytest.raises(ValueError, match="empty event"):
-        update_event(M, 0, 0)
+        POINTED.update(0, 0)
 
 
 # Each state believes only itself. A tuple lookup would wrap a negative
@@ -133,32 +131,32 @@ IDENTITY_BELIEF = Frame(2, (1, 2), ((0, 2, 1), (1, 2, 3)))
 
 def test_states_and_events_outside_the_frame_are_refused():
     fr = IDENTITY_BELIEF
-    m = make_model(fr, {"p": 0b01})
-    calls = (fr.update, fr.select, lambda s, e: update_event(m, s, e))
     for s, event in ((-1, 1), (-1, 3), (0, -1), (2, 1), (0, 4)):
-        for call in calls:
-            with pytest.raises(ValueError, match="out of range"):
-                call(s, event)
+        with pytest.raises(ValueError, match="out of range"):
+            fr.update(s, event)
     for belief, event in ((-1, 1), (0b100, 1), (0b11, -1), (0b11, 0b100)):
         with pytest.raises(ValueError, match="out of range"):
             fr.lift(belief, event)
+    # an empty belief event is no belief set at all
+    for event in (1, 3):
+        with pytest.raises(ValueError, match="empty belief-set event"):
+            fr.lift(0, event)
 
 
-def test_update_event_stays_in_universe():
+def test_update_stays_in_universe():
     rng = random.Random(6)
     for _ in range(50):
         fr = sample_frame(3, rng)
-        m = make_model(fr, {"p": 0b001})
         for s in range(3):
             for e in range(1, 8):
-                assert update_event(m, s, e) & ~fr.full == 0
+                assert fr.update(s, e) & ~fr.full == 0
 
 
 def test_membership_is_subset_test():
-    # psi in the changed set at s iff update_event is inside den(psi)
+    # psi in the changed set at s iff U(s, den(phi)) is inside den(psi)
     e_phi = truth_set(M, parse("p"))
     e_psi = truth_set(M, parse("q"))
-    changed = update_event(M, 0, e_phi)
+    changed = POINTED.update(0, e_phi)
     assert (changed & ~e_psi == 0) == holds_at(M, 0, parse("B(p > q)"))
 
 
@@ -182,14 +180,15 @@ def test_belief_state_consistent():
 # -- event-level postulate checks --------------------------------------------
 
 def test_check_km_axiom_examples():
-    assert check_km_axiom(M, 0, "K_diamond_1") == (True, None)
-    gap = make_model(GAPPY, {"p": 0b01})
-    assert check_km_axiom(gap, 0, "K_diamond_2") == (False, (0b01,))
-    assert check_km_axiom(gap, 0, "K_diamond_3b") == (False, (0b01,))
+    assert check_km_axiom(POINTED, 0, "K_diamond_1") == (True, None)
+    assert check_km_axiom(GAPPY, 0, "K_diamond_2") == (False, (0b01,))
+    assert check_km_axiom(GAPPY, 0, "K_diamond_3b") == (False, (0b01,))
     for a in ("K_diamond_0", "K_diamond_3a", "K_diamond_4"):
-        assert check_km_axiom(gap, 0, a) == (True, None)
+        assert check_km_axiom(GAPPY, 0, a) == (True, None)
     with pytest.raises(ValueError, match="unknown update postulate"):
-        check_km_axiom(M, 0, "K_diamond_9")
+        check_km_axiom(POINTED, 0, "K_diamond_9")
+    with pytest.raises(ValueError, match="out of range"):
+        check_km_axiom(POINTED, 2, "K_diamond_1")
 
 
 _PAIRED = {
@@ -207,9 +206,8 @@ def test_km_checks_match_frame_properties():
     rng = random.Random(8)
     frames += [sample_frame(3, rng) for _ in range(60)]
     for fr in frames:
-        m = make_model(fr, {"p": 1})
         for axiom, prop in _PAIRED.items():
-            reports = [(s, check_km_axiom(m, s, axiom)) for s in range(fr.n)]
+            reports = [(s, check_km_axiom(fr, s, axiom)) for s in range(fr.n)]
             first = next(((s, *cex) for s, (holds, cex) in reports if not holds), None)
             assert check_property(fr, prop) == (first is None, first), (fr, axiom)
 
@@ -253,7 +251,7 @@ def test_formula_twin_agrees_on_sampled_frames():
             m = make_model(fr, val)
             for a in KM_AXIOM_IDS:
                 for s in range(2):
-                    assert check_km_axiom(m, s, a)[0] == \
+                    assert check_km_axiom(fr, s, a)[0] == \
                         check_km_axiom_via_formulas(m, s, a, instances), (fr, a, s)
 
 
@@ -380,11 +378,10 @@ def _assert_masks_agree(run, n: int, val: dict, rng: random.Random, count: int) 
     sampled frames with n states."""
     for _ in range(count):
         fr = sample_frame(n, rng)
-        m = make_model(fr, val)
         masks = run(fr)
         for i, a in enumerate(KM_AXIOM_IDS):
             for s in range(n):
-                assert bool(masks[i] >> s & 1) == check_km_axiom(m, s, a)[0], (fr, a, s)
+                assert bool(masks[i] >> s & 1) == check_km_axiom(fr, s, a)[0], (fr, a, s)
 
 
 def test_postulate_table_restates_each_km_item_once():

@@ -107,6 +107,14 @@ def test_text_round_trip():
     ("1. B ALPHA ; lemma C_B_inv [beta=)]", r"^line 1: unbalanced '\)'"),
     ("1. B ALPHA ; premise\n2. (GAMMA > B ALPHA) ; nec_cond 1 B(",
      r"^line 2: expected a formula"),
+    # a metavariable bound twice in one step, for ax and lemma alike
+    ("1. B(PHI > PHI) ; ax A_star_2_diamond_1 [phi=PSI, phi=PHI]",
+     r"^line 1: phi is bound twice$"),
+    ("1. B ALPHA ; taut\n2. B ALPHA ; lemma C_B_inv [beta=ALPHA, alpha=BETA, beta=BETA]",
+     r"^line 2: beta is bound twice$"),
+    # a formula nested past the parser's depth bound
+    ("1. " + "(" * 65 + "PHI | ~PHI" + ")" * 65 + " ; taut",
+     r"^line 1: formula nested deeper than 64 levels"),
 ])
 def test_parse_rejects(text, complaint):
     with pytest.raises(ProofSyntaxError, match=complaint):

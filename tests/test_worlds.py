@@ -120,7 +120,7 @@ def test_lift_and_update_errors():
     fam = generate_family(SP2, 0, "none")
     with pytest.raises(ValueError, match="empty belief-set event"):
         lift_update(fam, 0, 1)
-    with pytest.raises(ValueError, match="empty input event"):
+    with pytest.raises(ValueError, match="empty event"):
         lift_update(fam, 1, 0)
     with pytest.raises(ValueError, match="out of range"):
         lift_update(fam, 0b10000, 1)
