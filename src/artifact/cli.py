@@ -261,7 +261,8 @@ def run_worlds_report(atoms: int, mode: str, count: int, seed: int,
     Exhaustive mode covers every one-atom family; sampled mode draws
     seeded families under the given per-world constraint. Violations
     are counted among hypothesis-satisfying families only, since the
-    lemmas are conditional claims.
+    lemmas are conditional claims. Each lemma keeps one verdict memo for
+    the sweep, so a row that recurs across families is checked once.
     """
     space = world_space(atoms)
     if mode == "exhaustive":
@@ -278,11 +279,12 @@ def run_worlds_report(atoms: int, mode: str, count: int, seed: int,
         raise ValueError(f"unknown lemma selector {lemma!r}")
     rows = {key: {"hypothesis_families": 0, "violations": 0,
                   "first_violation": None} for key in checkers}
+    memos = {key: {} for key in checkers}  # one verdict memo per lemma and sweep
     total = 0
     for fam in families:
         total += 1
         for key, checker in checkers.items():
-            report = checker(fam)
+            report = checker(fam, memos[key])
             if not report.hypothesis_ok:
                 continue
             row = rows[key]

@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -227,6 +228,15 @@ def test_deeply_nested_input_is_an_input_error(model_path, tmp_path, capsys):
     assert main(["eval", "--model", model_path, "--state", "0",
                  "--formula", "(" * 64 + "p" + ")" * 64]) == 0
     assert capsys.readouterr().out.strip() == "true"
+
+
+def test_long_iff_chain_is_refused_fast(model_path, capsys):
+    # each <-> repeats both operands, so this expands to about 6e12 nodes
+    start = time.perf_counter()
+    assert main(["truth-set", "--model", model_path,
+                 "--formula", " <-> ".join(["p"] * 40)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "expands to more than 65,536 nodes" in capsys.readouterr().err
 
 
 class _Reached(Exception):

@@ -20,6 +20,7 @@ from artifact.formula import (
     Iff,
     Implies,
     InstantiationError,
+    MetaAtom,
     Not,
     Or,
     ParseError,
@@ -195,6 +196,34 @@ def test_formula_at_the_depth_bound_parses_prints_and_evaluates():
             name: binding[name] for name in metavariable_names(template)}
     for text in _at_depth(_MAX_DEPTH + 1):
         with pytest.raises(ParseError, match=f"nested deeper than {_MAX_DEPTH} levels"):
+            parse(text)
+
+
+def _tree_size(f) -> int:
+    """Nodes of the formula as a tree, a shared subformula once per occurrence."""
+    if isinstance(f, (Atom, MetaAtom)):
+        return 1
+    return 1 + sum(_tree_size(getattr(f, name)) for name in f.__slots__)
+
+
+def test_parser_counts_the_expanded_tree_size():
+    from artifact.formula import _Parser
+    rng = random.Random(3)
+    for _ in range(300):
+        f = _random_formula(rng, 5)
+        text = print_formula(f)
+        assert _Parser(text, False).formula()[2] == _tree_size(f), text
+    for text in ("(p)", "((p > q))", "B(PHI > ~PSI) <-> [](ALPHA & PHI)"):
+        assert _Parser(text, True).formula()[2] == _tree_size(parse_schema_text(text))
+
+
+def test_iff_chains_past_the_node_bound_are_refused():
+    from artifact.formula import _MAX_NODES
+    chain = {k: " <-> ".join(["p"] * k) for k in (12, 13, 14)}
+    assert _tree_size(parse(chain[13])) == 45_046 <= _MAX_NODES
+    # 90,102 and 4 + 45,046 + 22,518 = 67,568 nodes
+    for text in (chain[14], f"B(({chain[13]}) & ({chain[12]}))"):
+        with pytest.raises(ParseError, match="expands to more than 65,536 nodes"):
             parse(text)
 
 

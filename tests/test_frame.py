@@ -15,6 +15,7 @@ from artifact.frame import (
     check_property,
     disjunction,
     enumerate_frames,
+    expansion,
     frame_count,
     frame_from_json,
     frame_to_json,
@@ -209,6 +210,24 @@ def test_symmetric_scans_give_the_all_pairs_counterexample():
     # states: (rows, rows violating ◇6w, rows violating ◇7s)
     assert violations == {1: (2, 0, 0), 2: (64, 39, 15),
                           3: (20_000, 6_913, 7_462), 4: (2_000, 973, 931)}
+
+
+def test_lemma_predicates_read_only_the_row():
+    # the lifting-lemma sweeps reuse a verdict for an identical row
+    # whatever its belief event, which holds only while these two
+    # predicates never read b
+    rng = random.Random(6)
+    outcomes = set()
+    for n, count in ((1, 20), (2, 200), (3, 200), (4, 50)):
+        full = (1 << n) - 1
+        for i in range(count):
+            row = (_perturbed_ranked_row(rng, n) if i % 2 else
+                   (0, *(rng.randrange(full + 1) for _ in range(full))))
+            for condition in (disjunction, expansion):
+                verdicts = {condition(row, b, full) for b in range(full + 1)}
+                assert len(verdicts) == 1, (condition.__name__, row)
+                outcomes.add((condition.__name__, verdicts.pop() is None))
+    assert len(outcomes) == 4  # each predicate both holds and fails here
 
 
 # -- enumeration and sampling -----------------------------------------------

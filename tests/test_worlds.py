@@ -4,8 +4,9 @@ from itertools import chain, combinations
 
 import pytest
 
-from artifact.frame import (Frame, FrameFormatError, check_property, frame_from_json,
-                            frame_to_json)
+from artifact import cli, worlds
+from artifact.frame import (Frame, FrameFormatError, check_property, disjunction,
+                            expansion, frame_from_json, frame_to_json)
 from artifact.worlds import (
     WorldSpace,
     audit_k9,
@@ -417,3 +418,79 @@ def test_family_json_refuses_frames_that_are_not_families(doc):
     with pytest.raises(FrameFormatError, match=r"2\*\*k states, k from 1 to 4, "
                                                "each believing only itself"):
         family_from_json(doc)
+
+
+# --- the sweep's verdict memo -------------------------------------------------
+
+def _fresh_checkers(monkeypatch):
+    """Make ``run_worlds_report`` call each checker with the family alone."""
+    for key, checker in list(cli._LEMMA_CHECKERS.items()):
+        monkeypatch.setitem(cli._LEMMA_CHECKERS, key,
+                            lambda fam, memo, checker=checker: checker(fam))
+
+
+POPULATIONS = [(1, "exhaustive", 0, "none"), (2, "sampled", 1_000, "k7"),
+               (2, "sampled", 1_000, "k9")]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_memoized_sweeps_report_what_fresh_checks_report(monkeypatch, seed):
+    memoized = [cli.run_worlds_report(atoms, mode, count, seed, constraint)
+                for atoms, mode, count, constraint in POPULATIONS]
+    _fresh_checkers(monkeypatch)
+    fresh = [cli.run_worlds_report(atoms, mode, count, seed, constraint)
+             for atoms, mode, count, constraint in POPULATIONS]
+    assert memoized == fresh
+    assert any(row["first_violation"] is not None
+               for report in fresh for row in report["lemmas"].values())
+
+
+def _rows_met(fam, condition):
+    """The rows a sweep checks on one family, in order: world rows up to
+    the first violating one; if none violates, lifted rows up to the
+    first violating one."""
+    events = range(1, fam.full + 1)
+    met = []
+    for rows in (fam.rows, [(0, *(fam.lift(k, e) for e in events)) for k in events]):
+        for row in rows:
+            met.append(row)
+            if condition(row, 0, fam.full) is not None:
+                return met
+    return met
+
+
+def test_a_sweep_runs_each_predicate_once_per_distinct_row(monkeypatch):
+    calls = {}
+    for condition in (disjunction, expansion):
+        def spy(row, belief, full, condition=condition):
+            calls[condition].append(row)
+            return condition(row, belief, full)
+        monkeypatch.setattr(worlds, condition.__name__, spy)
+    for constraint in ("none", "k7", "k9"):
+        calls.update({disjunction: [], expansion: []})
+        cli.run_worlds_report(2, "sampled", 300, 0, constraint)
+        families = [generate_family(SP2, i, constraint) for i in range(300)]
+        for condition, rows in calls.items():
+            met = set().union(*(_rows_met(fam, condition) for fam in families))
+            assert len(met) * (SP2.full + 1) <= worlds._MEMO_CELLS
+            assert len(rows) == len(met) and set(rows) == met, condition
+
+
+def test_a_three_atom_sweep_stores_at_most_the_cap(monkeypatch):
+    memos = []
+    for key, checker in list(cli._LEMMA_CHECKERS.items()):
+        def spy(fam, memo, checker=checker):
+            memos.append(memo)
+            return checker(fam, memo)
+        monkeypatch.setitem(cli._LEMMA_CHECKERS, key, spy)
+    # random three-atom families fail their first world row fast, so
+    # each family adds one new 256-cell row to each lemma's memo
+    count = worlds._MEMO_CELLS // 256 + 40
+    memoized = cli.run_worlds_report(3, "sampled", count, 0, "none")
+    stored = {id(memo): memo for memo in memos}.values()
+    assert len(stored) == 2
+    for memo in stored:
+        assert sum(map(len, memo)) == worlds._MEMO_CELLS  # full, never past it
+    monkeypatch.undo()
+    _fresh_checkers(monkeypatch)
+    assert memoized == cli.run_worlds_report(3, "sampled", count, 0, "none")
