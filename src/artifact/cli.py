@@ -41,7 +41,6 @@ from .formula import (
 )
 from .frame import (
     PROPERTY_IDS,
-    Frame,
     check_property,
     enumerate_frames,
     frame_count,
@@ -107,14 +106,17 @@ def _load_json(path: str) -> dict:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
-def _checkable(fr: Frame, what: str) -> Frame:
-    """The frame, unless checking it cannot finish."""
-    if fr.n > _CHECK_MAX_STATES:
+def _checkable(doc, what: str):
+    """The frame or model document, unless checking it cannot finish.
+    Read before parsing, so a document too large to check is never
+    built; a ``states`` value that is not an int is left to the parser."""
+    n = doc.get("states") if isinstance(doc, dict) else None
+    if type(n) is int and n > _CHECK_MAX_STATES:
         raise ValueError(
-            f"refusing {what} with {fr.n} states: the checks scan pairs of "
+            f"refusing {what} with {n} states: the checks scan pairs of "
             f"events, about 4.5x more work per state; at most "
             f"{_CHECK_MAX_STATES} states")
-    return fr
+    return doc
 
 
 def _emit(args, doc: dict, text: str) -> None:
@@ -157,7 +159,7 @@ def _render_witness(witness) -> dict | None:
 
 
 def _cmd_frame_check(args) -> int:
-    fr = _checkable(frame_from_json(_load_json(args.frame)), "a frame")
+    fr = frame_from_json(_checkable(_load_json(args.frame), "a frame"))
     props = PROPERTY_IDS if args.property == "all" else (args.property,)
     rows = {}
     for prop in props:
@@ -190,8 +192,8 @@ def _cmd_frame_enum(args) -> int:
 
 
 def _cmd_check_km(args) -> int:
-    m = model_from_json(_load_json(args.model))
-    fr = _checkable(m.frame, "a model")
+    m = model_from_json(_checkable(_load_json(args.model), "a model"))
+    fr = m.frame
     if not 0 <= args.state < fr.n:
         raise ValueError(f"state {args.state} out of range for {fr.n} states")
     if args.bridge and fr.n > _BRIDGE_MAX_STATES:

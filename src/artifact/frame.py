@@ -25,16 +25,30 @@ hashing frames.
 Every update condition the package checks is written here once, as a
 predicate on an update row and its belief event: success, unsurprising,
 consistency, conjunction (◇5), reciprocity (◇6w), disjunction (◇7s),
-expansion (◇9s) and revision's vacuity (*4). The layers above only pick
-the rows: ``check_property`` runs a predicate on every state's row of a
-frame, ``model.check_km_axiom`` on one state's row, and ``worlds`` on
-each world's row and on each lifted belief event's row. Counterexamples
-come in a fixed scan order (rows ascending, then event masks ascending,
-pairs in lexicographic order). Reciprocity and disjunction are symmetric
-in (E, F) and cannot fail at E = F, so they scan only the pairs E < F:
-if (E, F) violates one, so does (F, E), and the first violating pair in
-lexicographic order has E < F. The first counterexample is the one a
-scan of every ordered pair would give.
+expansion (◇9s) and revision's vacuity (*4). Which registry item each
+predicate restates is written here once too, in ``CONDITIONS``: item id
+to row predicate, or None for an item that holds on every frame. An item
+with a predicate holds on a frame when the predicate holds on every
+state's row; the correspondence sweeps play the two against each other.
+An entry with a predicate is a frame property, whose id is the item's id
+with the leading ``A`` replaced by ``P`` (``A_diamond_2`` is
+``P_diamond_2``); ``PROPERTY_IDS`` lists them in table order. The keys
+are plain strings, so this module imports nothing from ``schema``.
+
+The layers above only pick the rows, and reach a predicate through the
+table: ``check_property`` runs a property's predicate on every state's
+row of a frame, ``schema.CORRESPONDENCE_PAIRS`` pairs axioms with
+properties, and ``model.check_km_axiom`` runs the predicate of a
+postulate's item on one state's row. Only ``worlds`` names predicates,
+disjunction and expansion, which it runs on each world's row and on each
+lifted belief event's row.
+
+Counterexamples come in a fixed scan order (rows ascending, then event
+masks ascending, pairs in lexicographic order). Reciprocity and
+disjunction are symmetric in (E, F) and cannot fail at E = F, so they
+scan only the pairs E < F: if (E, F) violates one, so does (F, E), and
+the first violating pair in lexicographic order has E < F. The first
+counterexample is the one a scan of every ordered pair would give.
 """
 
 from __future__ import annotations
@@ -45,8 +59,8 @@ from dataclasses import dataclass, field
 from operator import or_
 
 __all__ = [
-    "Frame", "FrameFormatError", "PROPERTY_IDS", "bits", "mask_from_indices",
-    "indices_from_mask", "modal_tables", "check_property", "frame_count",
+    "Frame", "FrameFormatError", "CONDITIONS", "PROPERTY_IDS", "property_id", "bits",
+    "mask_from_indices", "indices_from_mask", "modal_tables", "check_property", "frame_count",
     "enumerate_frames", "sample_frame", "frame_to_json", "frame_from_json",
     "success", "unsurprising", "consistency", "conjunction", "reciprocity",
     "disjunction", "expansion", "vacuity",
@@ -274,17 +288,30 @@ def vacuity(r, b: int, full: int):
     return None
 
 
-_CONDITIONS = {
-    "P_star_2_diamond_1": success,
-    "P_diamond_2": unsurprising,
-    "P_star_5b_diamond_3b": consistency,
-    "P_star_7_diamond_5": conjunction,
-    "P_diamond_6w": reciprocity,
-    "P_diamond_7s": disjunction,
-    "P_star_4": vacuity,
+# registry item id -> the row predicate it restates, or None for an item
+# that holds on every frame; in registry order
+CONDITIONS = {
+    "A_star_1_diamond_0": None,
+    "A_star_2_diamond_1": success,
+    "A_diamond_2": unsurprising,
+    "A_star_5b_diamond_3b": consistency,
+    "A_star_7_diamond_5": conjunction,
+    "A_diamond_6w": reciprocity,
+    "A_diamond_7s": disjunction,
+    "A_star_4": vacuity,
+    "R_star_5a_diamond_3a": None,
+    "R_star_6_diamond_4": None,
 }
 
-PROPERTY_IDS = tuple(_CONDITIONS)
+
+def property_id(item: str) -> str | None:
+    """The frame property of a ``CONDITIONS`` item: its id with the
+    leading A replaced by P, or None for an item without a predicate."""
+    return None if CONDITIONS[item] is None else "P" + item[1:]
+
+
+_PROPERTIES = {property_id(a): c for a, c in CONDITIONS.items() if c is not None}
+PROPERTY_IDS = tuple(_PROPERTIES)
 
 
 def check_property(fr: Frame, prop_id: str):
@@ -292,7 +319,7 @@ def check_property(fr: Frame, prop_id: str):
     every state's row U(s, ·). The counterexample is (s, E) or (s, E, F)
     with events as masks, the first one in scan order."""
     try:
-        condition = _CONDITIONS[prop_id]
+        condition = _PROPERTIES[prop_id]
     except KeyError:
         raise ValueError(f"unknown frame property {prop_id!r}") from None
     full, rows = fr.full, fr.rows

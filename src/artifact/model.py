@@ -34,16 +34,17 @@ after input phi iff the frame's update U(s, den(phi)),
 postulates are conditions on the frame alone, and only their modal
 restatements read a valuation. ``check_km_axiom`` takes a frame and
 decides the postulates with formulas replaced by their denotations,
-running the row predicates of ``frame`` on the one state's row
-``fr.rows[s]``, U(s, ·), the same predicates the frame properties run on
-every state's row. The formula level is the registry's own L_KM items
-(``schema.KM_IDS``) under characteristic formulas:
-``km_formula_instances`` substitutes characteristic formulas of the
-valuation into each item's conclusion, so it is the one layer that
-needs a model. One table,
-``_KM_POSTULATES``, gives each postulate its row predicate, its item and
-its bindings, so the two layers can be played against each other, and a
-wrong registry schema shows up as a disagreement between them.
+running a row predicate on the one state's row ``fr.rows[s]``, U(s, ·).
+A postulate gets its predicate through its item: it is the item's entry
+in ``frame.CONDITIONS``, the same predicate the item's frame property
+runs on every state's row, and this module names no predicate itself.
+The formula level is the registry's own L_KM items (``schema.KM_IDS``)
+under characteristic formulas: ``km_formula_instances`` substitutes
+characteristic formulas of the valuation into each item's conclusion, so
+it is the one layer that needs a model. One table, ``_KM_POSTULATES``,
+gives each postulate its item and that item's bindings, so the two
+layers can be played against each other, and a wrong registry schema
+shows up as a disagreement between them.
 """
 
 from __future__ import annotations
@@ -67,9 +68,8 @@ from .formula import (
     _match_implies,
     _substitute,
 )
-from .frame import (Frame, FrameFormatError, bits, conjunction, consistency, disjunction,
-                    frame_from_json, frame_to_json, indices_from_mask, mask_from_indices,
-                    modal_tables, reciprocity, success, unsurprising)
+from .frame import (CONDITIONS, Frame, FrameFormatError, bits, frame_from_json, frame_to_json,
+                    indices_from_mask, mask_from_indices, modal_tables)
 
 __all__ = [
     "Model", "UnvaluedAtomError", "NonSeparatingValuationError",
@@ -384,34 +384,32 @@ def _conjoin(terms: list[str]) -> str:
 # ---------------------------------------------------------------------------
 # the update postulates, event level and formula level
 
-# One row per update postulate: the row predicate of ``frame`` it comes
-# to on one state's update row, the L_KM item it restates, and that
-# item's (PHI, PSI, CHI) bindings, given the characteristic formulas k
-# of all events and the non-empty events ne. The predicate is None for
-# the postulates that hold on every frame: the changed belief set is
+# One row per update postulate: the L_KM item it restates, whose
+# ``frame.CONDITIONS`` entry is its row predicate on one state's update
+# row, and that item's (PHI, PSI, CHI) bindings, given the characteristic
+# formulas k of all events and the non-empty events ne. The entry is None
+# for the postulates that hold on every frame: the changed belief set is
 # deductively closed, contradiction-updated and denotation-determined by
 # construction. K_diamond_3a and K_diamond_4 are the conclusions of
 # rules at bindings that make the premise a theorem, PHI = ⊥ (premise
 # ~PHI) and PSI = ~~PHI (premise PHI <-> PSI); K_diamond_3b is its axiom
 # at PSI = ⊤.
 _KM_POSTULATES = {
-    "K_diamond_0": (None, "A_star_1_diamond_0",
+    "K_diamond_0": ("A_star_1_diamond_0",
                     lambda k, ne: ((k[e], k[f], k[g]) for e in k for f in ne for g in ne)),
-    "K_diamond_1": (success, "A_star_2_diamond_1", lambda k, ne: ((k[e],) for e in ne)),
-    "K_diamond_2": (unsurprising, "A_diamond_2",
-                    lambda k, ne: ((k[e], k[f]) for e in ne for f in k)),
-    "K_diamond_3a": (None, "R_star_5a_diamond_3a", lambda k, ne: ((k[0], k[f]) for f in k)),
-    "K_diamond_3b": (consistency, "A_star_5b_diamond_3b",
-                     lambda k, ne: ((k[e], k[ne[-1]]) for e in ne)),
-    "K_diamond_4": (None, "R_star_6_diamond_4",
+    "K_diamond_1": ("A_star_2_diamond_1", lambda k, ne: ((k[e],) for e in ne)),
+    "K_diamond_2": ("A_diamond_2", lambda k, ne: ((k[e], k[f]) for e in ne for f in k)),
+    "K_diamond_3a": ("R_star_5a_diamond_3a", lambda k, ne: ((k[0], k[f]) for f in k)),
+    "K_diamond_3b": ("A_star_5b_diamond_3b", lambda k, ne: ((k[e], k[ne[-1]]) for e in ne)),
+    "K_diamond_4": ("R_star_6_diamond_4",
                     lambda k, ne: ((k[e], Not(Not(k[e])), k[f]) for e in ne for f in k)),
-    "K_diamond_5": (conjunction, "A_star_7_diamond_5",
+    "K_diamond_5": ("A_star_7_diamond_5",
                     lambda k, ne: ((k[e], k[f], k[g]) for e in ne for f in ne if e & f
                                    for g in k)),
-    "K_diamond_6w": (reciprocity, "A_diamond_6w",
+    "K_diamond_6w": ("A_diamond_6w",
                      lambda k, ne: ((k[e], k[f], k[g]) for e in ne for f in ne if e & f
                                     for g in k)),
-    "K_diamond_7s": (disjunction, "A_diamond_7s",
+    "K_diamond_7s": ("A_diamond_7s",
                      lambda k, ne: ((k[e], k[f], k[g]) for e in ne for f in ne for g in k)),
 }
 
@@ -422,14 +420,15 @@ def check_km_axiom(fr: Frame, s: int, a: str):
     """Decide an update postulate at state s of a frame with formulas
     replaced by their denotations, quantifying over non-empty events
     (pairs where the postulate mentions two inputs): the postulate's row
-    predicate on U(s, ·), reading only ``fr.rows``, ``fr.belief`` and
-    ``fr.full``. Returns (holds, counterexample) where the
-    counterexample is (E,) or (E, F).
+    predicate on U(s, ·), the ``frame.CONDITIONS`` entry of the item it
+    restates, reading only ``fr.rows``, ``fr.belief`` and ``fr.full``.
+    Returns (holds, counterexample) where the counterexample is (E,) or
+    (E, F).
 
     K_diamond_0, K_diamond_3a and K_diamond_4 hold on every frame.
     """
     try:
-        condition = _KM_POSTULATES[a][0]
+        condition = CONDITIONS[_KM_POSTULATES[a][0]]
     except KeyError:
         raise ValueError(f"unknown update postulate {a!r}") from None
     if not 0 <= s < fr.n:
@@ -497,7 +496,7 @@ def km_formula_instances(n: int, valuation: Mapping[str, int]) -> dict[str, list
     ne = range(1, 1 << n)
     return {a: [_substitute(REGISTRY[item].conclusion, dict(zip(("PHI", "PSI", "CHI"), b)))
                 for b in bindings(k, ne)]
-            for a, (_, item, bindings) in _KM_POSTULATES.items()}
+            for a, (item, bindings) in _KM_POSTULATES.items()}
 
 
 def check_km_axiom_via_formulas(m: Model, s: int, a: str,

@@ -39,6 +39,12 @@ first-occurrence order over the premises, then the conclusion; with no
 premises it is the reference validity scan for a schema. Both paths
 report the same first counterexample (binding in lexicographic scan
 order, then lowest state).
+
+Which property goes with which axiom is not written here.
+``frame.CONDITIONS`` maps each item to its row predicate, and an item's
+property id is its id with the leading ``A`` replaced by ``P``
+(``frame.property_id``). ``CORRESPONDENCE_PAIRS`` only lists the eight
+axioms the correspondence criteria pin.
 """
 
 from __future__ import annotations
@@ -50,7 +56,8 @@ from typing import Callable
 
 from .formula import (Formula, _match_and, _match_iff, _match_implies, metavariable_names,
                       parse_schema_text)
-from .frame import Frame, check_property, enumerate_frames, frame_to_json, sample_frame
+from .frame import (Frame, check_property, enumerate_frames, frame_to_json, property_id,
+                    sample_frame)
 from .model import _Codegen, denotation
 
 __all__ = [
@@ -262,16 +269,11 @@ class CorrespondencePair:
     property: str | None  # None: the axiom is valid on every frame
 
 
-CORRESPONDENCE_PAIRS = (
-    CorrespondencePair("A_star_1_diamond_0", None),
-    CorrespondencePair("A_star_2_diamond_1", "P_star_2_diamond_1"),
-    CorrespondencePair("A_diamond_2", "P_diamond_2"),
-    CorrespondencePair("A_star_5b_diamond_3b", "P_star_5b_diamond_3b"),
-    CorrespondencePair("A_star_7_diamond_5", "P_star_7_diamond_5"),
-    CorrespondencePair("A_diamond_6w", "P_diamond_6w"),
-    CorrespondencePair("A_diamond_7s", "P_diamond_7s"),
-    CorrespondencePair("A_star_4", "P_star_4"),
-)
+# the pinned pairs of the correspondence criteria, each axiom with the
+# property of its ``frame.CONDITIONS`` entry
+CORRESPONDENCE_PAIRS = tuple(CorrespondencePair(a, property_id(a)) for a in (
+    "A_star_1_diamond_0", "A_star_2_diamond_1", "A_diamond_2", "A_star_5b_diamond_3b",
+    "A_star_7_diamond_5", "A_diamond_6w", "A_diamond_7s", "A_star_4"))
 
 
 _WITNESS_CAP = 25

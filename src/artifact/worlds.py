@@ -80,11 +80,6 @@ class WorldSpace:
     def full(self) -> int:
         return (1 << self.world_count) - 1
 
-    def world_valuation(self, w: int) -> dict[str, bool]:
-        if not 0 <= w < self.world_count:
-            raise ValueError(f"no world {w}")
-        return {a: bool(w >> i & 1) for i, a in enumerate(self.atoms)}
-
 
 def world_space(k: int) -> WorldSpace:
     if not 1 <= k <= len(DEFAULT_ATOMS):

@@ -198,15 +198,31 @@ def test_frame_check_and_check_km_refuse_large_frames_up_front(tmp_path, monkeyp
     def never(*args):
         raise AssertionError("a predicate ran")
 
+    def never_parsed(*args):
+        raise AssertionError("the document was parsed")
+
     monkeypatch.setattr(cli, "check_property", never)
     monkeypatch.setattr(cli, "check_km_axiom", never)
+    monkeypatch.setattr(cli, "frame_from_json", never_parsed)
+    monkeypatch.setattr(cli, "model_from_json", never_parsed)
     for argv in (["frame-check", "--frame", str(path)],
                  ["check-km", "--model", str(path), "--state", "0"]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "13 states" in err and "at most 12" in err
-    twelve = Frame(12, identity.belief[:12], (events[:(1 << 12) - 1],) * 12)
+    twelve = {"states": 12}
     assert cli._checkable(twelve, "a frame") is twelve
+
+
+def test_size_refusal_leaves_a_malformed_state_count_to_the_parser(tmp_path, capsys):
+    path = tmp_path / "odd.json"
+    for states in ("13", 13.0, True):
+        path.write_text(json.dumps({"states": states, "belief": [], "selection": [],
+                                    "valuation": {}}))
+        for argv in (["frame-check", "--frame", str(path)],
+                     ["check-km", "--model", str(path), "--state", "0"]):
+            assert main(argv) == 2
+            assert "states must be a positive integer" in capsys.readouterr().err
 
 
 def test_deeply_nested_input_is_an_input_error(model_path, tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Source hygiene: every name a module imports at module level is used,
-and every name a module exports is bound in it."""
+every name a module exports is bound in it, and only the modules that
+must name an update-row predicate import one."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -46,3 +48,32 @@ def test_every_exported_name_is_bound():
         unbound += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert unbound == []
+
+
+def _row_predicates() -> set[str]:
+    """The names of ``frame``'s update-row predicates: its exported
+    functions of (r, b, full)."""
+    from artifact import frame
+
+    return {name for name in frame.__all__
+            if inspect.isfunction(getattr(frame, name))
+            and list(inspect.signature(getattr(frame, name)).parameters) == ["r", "b", "full"]}
+
+
+# ``frame`` defines the predicates; ``worlds`` runs these two on lifted
+# rows. Every other module reaches a predicate through ``frame.CONDITIONS``
+# or ``check_property``, so the item-to-predicate pairing has one home.
+_PREDICATE_IMPORTS = {"worlds": {"disjunction", "expansion"}}
+
+
+def test_only_frame_and_worlds_import_row_predicates():
+    predicates = _row_predicates()
+    assert {"success", "disjunction", "expansion", "vacuity"} <= predicates
+    hits = []
+    for path in sorted(ROOT.glob("src/artifact/*.py")):
+        allowed = _PREDICATE_IMPORTS.get(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("frame"):
+                hits += [f"{path.stem}:{node.lineno}: {alias.name}" for alias in node.names
+                         if alias.name in predicates - allowed]
+    assert hits == []

@@ -385,7 +385,7 @@ def _assert_masks_agree(run, n: int, val: dict, rng: random.Random, count: int) 
 
 
 def test_postulate_table_restates_each_km_item_once():
-    assert sorted(item for _, item, _ in model._KM_POSTULATES.values()) == sorted(KM_IDS)
+    assert sorted(item for item, _ in model._KM_POSTULATES.values()) == sorted(KM_IDS)
     # the ranges the README and the check-km --bridge refusal quote
     for val in ({"p": 0b01}, {"p": 0b10}):
         assert sum(map(len, km_formula_instances(2, val).values())) == 162

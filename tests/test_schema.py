@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from artifact.formula import Atom, parse, parse_schema_text
 from artifact import frame as frame_module
-from artifact.frame import (PROPERTY_IDS, Frame, check_property, enumerate_frames,
-                            frame_to_json, modal_tables, sample_frame)
-from artifact.model import (UnvaluedAtomError, compile_conjunctions, denotation, make_model,
-                            truth_set)
+from artifact.frame import (CONDITIONS, PROPERTY_IDS, Frame, check_property, enumerate_frames,
+                            frame_to_json, modal_tables, property_id, sample_frame)
+from artifact.model import (_KM_POSTULATES, UnvaluedAtomError, compile_conjunctions,
+                            denotation, make_model, truth_set)
 from artifact.schema import (
     AGM_IDS,
     AXIOM_IDS,
@@ -198,6 +198,29 @@ def test_correspondence_pairs_cover_expected_axioms():
     ]
     assert CORRESPONDENCE_PAIRS[0].property is None
     assert CORRESPONDENCE_PAIRS[-1].property == "P_star_4"
+
+
+def test_conditions_table_is_keyed_by_the_items_that_read_it():
+    assert set(CONDITIONS) <= set(REGISTRY)
+    assert list(CONDITIONS) == [a for a in AXIOM_IDS if a in CONDITIONS]
+    assert {item for item, _ in _KM_POSTULATES.values()} <= set(CONDITIONS)
+    assert {p.axiom for p in CORRESPONDENCE_PAIRS} <= set(CONDITIONS)
+    assert all(p.property == property_id(p.axiom) for p in CORRESPONDENCE_PAIRS)
+    # an entry with a predicate adds a frame-check property, so a new one
+    # has to be added here too
+    assert PROPERTY_IDS == (
+        "P_star_2_diamond_1", "P_diamond_2", "P_star_5b_diamond_3b", "P_star_7_diamond_5",
+        "P_diamond_6w", "P_diamond_7s", "P_star_4")
+
+
+def test_conditions_without_a_predicate_hold_on_every_frame():
+    rng = random.Random(17)
+    frames = stride_frames(1103) + [sample_frame(3, rng) for _ in range(4)]
+    free = [a for a, condition in CONDITIONS.items() if condition is None]
+    assert free == ["A_star_1_diamond_0", "R_star_5a_diamond_3a", "R_star_6_diamond_4"]
+    for a in free:  # the two rules through rule_preserves_validity
+        for fr in frames:
+            assert schema_valid_on_frame(fr, a) == (True, None), (a, fr)
 
 
 @dataclass(frozen=True)

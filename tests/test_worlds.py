@@ -86,16 +86,12 @@ def violates_lifted_k9s(fam, triple):
 
 def test_world_space_shape():
     assert SP2.world_count == 4 and SP2.full == 0b1111
-    assert SP2.world_valuation(2) == {"p": False, "q": True}
-    assert SP2.world_valuation(3) == {"p": True, "q": True}
     with pytest.raises(ValueError, match="1 to 4 atoms"):
         world_space(5)
     with pytest.raises(ValueError, match="1 to 4 atoms"):
         WorldSpace(())
     with pytest.raises(ValueError, match="duplicate"):
         WorldSpace(("p", "p"))
-    with pytest.raises(ValueError, match="no world"):
-        SP1.world_valuation(2)
 
 
 def test_lift_examples():
