@@ -84,6 +84,9 @@ _BRIDGE_MAX_STATES = 5  # formula instances grow about 8.5x per state
 _CHECK_MAX_STATES = 12  # frame-check and check-km: pair scans grow about 4.5x per state
 _CORRESPOND_MAX_STATES = 7  # three-metavariable checkers bind (2^n)^3 events
 _WORLDS_MAX_ATOMS = 3  # lemma steps grow with the cube of 2^(2^atoms) - 1
+# Input files: a 12-state frame document written with indent=2 is 10.3 MB,
+# so every document the state budget admits is read whole.
+_MAX_INPUT_BYTES = 32 << 20
 
 
 def _at_least_one(text: str) -> int:
@@ -98,12 +101,23 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file, refused once it runs past
+    ``_MAX_INPUT_BYTES``: at most one byte over the limit is ever read."""
+    with open(path, "rb") as handle:
+        data = handle.read(_MAX_INPUT_BYTES + 1)
+    if len(data) > _MAX_INPUT_BYTES:
+        raise ValueError(f"refusing {path}: larger than the input limit of "
+                         f"{_MAX_INPUT_BYTES:,} bytes ({_MAX_INPUT_BYTES >> 20} MiB)")
+    return data.decode()
+
+
 def _load_json(path: str) -> dict:
-    with open(path) as handle:
-        try:
-            return json.load(handle)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    text = _read_input(path)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _checkable(doc, what: str):
@@ -346,7 +360,7 @@ def _cmd_prove_check(args) -> int:
             raise ValueError(
                 f"builtin {script_id} is a {script.logic} derivation, not {args.logic}")
     else:
-        text = Path(args.target).read_text()
+        text = _read_input(args.target)
         script = parse_proof_script(text, Path(args.target).stem,
                                     args.logic or "L")
     verdict = check_script(script, registry)

@@ -2,10 +2,9 @@
 
 The primitive basis is negation and disjunction plus three modal node
 kinds: a belief operator ``B``, a necessity operator ``[]`` and a
-two-place conditional ``>``. Conjunction, material implication,
-biconditional and the two constants are derived constructors that expand
-into the basis, so structural equality is equality after expansion. The
-constants expand over the reserved atom ``a0``.
+two-place conditional ``>``. Conjunction, material implication and the
+biconditional are derived constructors that expand into the basis, so
+structural equality is equality after expansion.
 
 Concrete syntax (recursive descent, all binary operators
 right-associative, loosest to tightest):
@@ -35,7 +34,7 @@ from typing import Union
 
 __all__ = [
     "Atom", "Not", "Or", "Believes", "Box", "Cond", "MetaAtom", "Formula",
-    "And", "Implies", "Iff", "Top", "Bottom", "RESERVED_ATOM",
+    "And", "Implies", "Iff",
     "METAVARIABLES", "mv", "ParseError", "InstantiationError",
     "TautologyBudgetError", "parse", "parse_schema_text", "print_formula",
     "is_boolean", "metavariable_names", "opaque_atoms", "is_tautology",
@@ -85,8 +84,6 @@ class MetaAtom:
 
 Formula = Union[Atom, Not, Or, Believes, Box, Cond, MetaAtom]
 
-RESERVED_ATOM = "a0"
-
 # Metavariable sorts: True = may only be instantiated with Boolean
 # formulas (the phi/psi/chi of the belief-change schemas), False = any
 # formula (the alpha/beta/gamma of the base logic).
@@ -114,14 +111,6 @@ def Implies(left: Formula, right: Formula) -> Formula:
 
 def Iff(left: Formula, right: Formula) -> Formula:
     return And(Implies(left, right), Implies(right, left))
-
-
-def Top() -> Formula:
-    return Or(Atom(RESERVED_ATOM), Not(Atom(RESERVED_ATOM)))
-
-
-def Bottom() -> Formula:
-    return And(Atom(RESERVED_ATOM), Not(Atom(RESERVED_ATOM)))
 
 
 def is_boolean(f: Formula) -> bool:

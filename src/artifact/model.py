@@ -74,7 +74,7 @@ from .frame import (CONDITIONS, Frame, FrameFormatError, bits, frame_from_json, 
 __all__ = [
     "Model", "UnvaluedAtomError", "NonSeparatingValuationError",
     "make_model", "denotation", "truth_set", "holds_at",
-    "KM_AXIOM_IDS", "check_km_axiom", "characteristic_formula",
+    "KM_AXIOM_IDS", "check_km_axiom",
     "km_formula_instances", "check_km_axiom_via_formulas", "compile_conjunctions",
     "model_to_json", "model_from_json",
 ]
@@ -453,6 +453,11 @@ def _state_description(atoms: tuple[tuple[str, int], ...], s: int) -> Formula:
 
 
 def _characteristic(n: int, atoms: tuple[tuple[str, int], ...], event: int) -> Formula:
+    """A Boolean formula whose truth set on n states is exactly ``event``.
+
+    Needs a valuation under which distinct states have distinct atom
+    profiles; the result is a disjunction of state descriptions.
+    """
     if not atoms:
         raise NonSeparatingValuationError("valuation has no atoms")
     profiles = [tuple(e >> s & 1 for _, e in atoms) for s in range(n)]
@@ -467,17 +472,6 @@ def _characteristic(n: int, atoms: tuple[tuple[str, int], ...], event: int) -> F
     for g in reversed(parts[:-1]):
         f = Or(g, f)
     return f
-
-
-def characteristic_formula(m: Model, event: int) -> Formula:
-    """A Boolean formula whose truth set is exactly the given event.
-
-    Needs a valuation under which distinct states have distinct atom
-    profiles; the result is a disjunction of state descriptions.
-    """
-    if event & ~m.frame.full:
-        raise ValueError("event out of the frame's universe")
-    return _characteristic(m.frame.n, m.valuation, event)
 
 
 def km_formula_instances(n: int, valuation: Mapping[str, int]) -> dict[str, list[Formula]]:
@@ -514,6 +508,8 @@ def check_km_axiom_via_formulas(m: Model, s: int, a: str,
 # serialization
 
 def model_to_json(m: Model) -> dict:
+    """The model document ``model_from_json`` reads: the frame document
+    plus the valuation."""
     doc = frame_to_json(m.frame)
     doc["valuation"] = {name: indices_from_mask(e) for name, e in m.valuation}
     return doc

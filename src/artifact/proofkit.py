@@ -38,7 +38,11 @@ with justifications ``taut``, ``ax <ID> [phi=.., psi=..]``, ``mp i j``,
 ``nec_box i``, ``nec_cond i <formula>``, ``rm_box i``, ``rm_b i``,
 ``rm_cond i <formula>``, ``rule <ID> i``, ``pl i,j,...``, plus
 ``premise`` for a rule script's hypotheses and ``lemma <ID> [..]`` for
-instances of previously proved scripts.
+instances of previously proved scripts. The format is read, never
+written: no command prints a script back. ``check_script`` and
+``check_line`` take the registry that lemma and derived-rule citations
+resolve in; every caller passes one, ``builtin_registry()`` for the
+builtin corpus.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from .schema import KM_IDS, LOGICS, REGISTRY
 
 __all__ = [
     "ProofSyntaxError", "Justification", "ProofLine", "ProofScript",
-    "Verdict", "parse_proof_script", "format_proof_script", "check_line",
+    "Verdict", "parse_proof_script", "check_line",
     "check_script", "ProofRegistry", "builtin_scripts", "builtin_registry",
     "delete_line", "verify_containment",
 ]
@@ -233,30 +237,6 @@ def _is_rule_step(j: Justification) -> bool:
     return j.kind == "rule" or j.kind in _KEYWORD_RULES
 
 
-def _format_justification(j: Justification) -> str:
-    match j.kind:
-        case "taut" | "premise":
-            return j.kind
-        case "ax" | "lemma":
-            binding = ""
-            if j.binding:
-                binding = " [" + ", ".join(
-                    f"{name.lower()}={print_formula(value)}" for name, value in j.binding) + "]"
-            return f"{j.kind} {j.ref}{binding}"
-        case "pl":
-            return "pl " + ",".join(str(i) for i in j.cites)
-    if not _is_rule_step(j):
-        raise ValueError(f"unknown justification kind {j.kind!r}")
-    head = f"rule {j.ref}" if j.kind == "rule" else j.kind
-    return " ".join([head, *map(str, j.cites), *(print_formula(v) for _, v in j.binding)])
-
-
-def format_proof_script(script: ProofScript) -> str:
-    return "\n".join(
-        f"{i}. {print_formula(ln.formula)} ; {_format_justification(ln.justification)}"
-        for i, ln in enumerate(script.lines, start=1))
-
-
 # ---------------------------------------------------------------------------
 # template matching
 
@@ -361,7 +341,7 @@ def _check_rule_step(j: Justification, f: Formula, cited: list[Formula], logic: 
     return _fail(f"conclusion does not match rule {j.ref}")
 
 
-def check_line(script: ProofScript, index: int, registry: "ProofRegistry | None" = None,
+def check_line(script: ProofScript, index: int, registry: ProofRegistry,
                excluded_axioms: frozenset[str] = frozenset()):
     """Validate one 1-based proof step. Returns (ok, reason)."""
     if not 1 <= index <= len(script.lines):
@@ -387,7 +367,7 @@ def check_line(script: ProofScript, index: int, registry: "ProofRegistry | None"
                 return _fail(f"axiom {j.ref} is not available in logic {script.logic}")
             return _check_instance("axiom", j, info.conclusion, f)
         case "lemma":
-            dep = registry.script(j.ref) if registry else None
+            dep = registry.script(j.ref)
             if dep is None:
                 return _fail(f"unregistered dependency {j.ref!r}")
             if dep.is_rule:
@@ -459,12 +439,10 @@ class ProofRegistry:
         return verdict
 
 
-def check_script(script: ProofScript, registry: ProofRegistry | None = None,
+def check_script(script: ProofScript, registry: ProofRegistry,
                  excluded_axioms: frozenset[str] = frozenset()) -> Verdict:
     """Check every dependency, every line, and the target. Returns the
     first failure with its line number (None for script-level faults)."""
-    if registry is None:
-        registry = builtin_registry()
     for dep in sorted(script_dependencies(script)):
         verdict = registry.check(dep, excluded_axioms)
         if not verdict.ok:

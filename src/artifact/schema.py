@@ -147,7 +147,8 @@ LOGICS: dict[str, frozenset[str]] = {
     "KM": _L_ITEMS | _SHARED_ITEMS | {"A_diamond_2", "A_diamond_6w", "A_diamond_7s"},
     "AGM": _L_ITEMS | _SHARED_ITEMS | {"A_star_3", "A_star_4", "A_star_8_diamond_9s"},
 }
-# each extension's own items, in registry order
+# each extension's own items, in registry order; AGM_IDS is KM_IDS's
+# counterpart for the revision logic
 KM_IDS = tuple(a for a in AXIOM_IDS if a in LOGICS["KM"] and a not in _L_ITEMS)
 AGM_IDS = tuple(a for a in AXIOM_IDS if a in LOGICS["AGM"] and a not in _L_ITEMS)
 

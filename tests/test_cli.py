@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +254,38 @@ def test_long_iff_chain_is_refused_fast(model_path, capsys):
                  "--formula", " <-> ".join(["p"] * 40)]) == 2
     assert time.perf_counter() - start < 1
     assert "expands to more than 65,536 nodes" in capsys.readouterr().err
+
+
+def test_input_files_past_the_byte_limit_are_refused_before_parsing(
+        model_path, tmp_path, monkeypatch, capsys):
+    script = tmp_path / "excluded_middle.proof"
+    script.write_text("1. PHI | ~PHI ; taut\n")
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
+    eval_argv = ["eval", "--model", model_path, "--state", "0", "--formula", "B p"]
+    runs = [(eval_argv, Path(model_path).stat().st_size),
+            (["prove-check", str(script)], script.stat().st_size)]
+    for argv, size in runs:
+        monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", size - 1)
+        assert main(argv) == 2
+        assert f"input limit of {size - 1:,} bytes" in capsys.readouterr().err
+    assert parsed == []
+    # at the limit each file is read whole
+    for argv, size in runs:
+        monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", size)
+        assert main(argv) == 0
+    assert len(parsed) == 1
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", "/dev/zero", "--state", "0", "--formula", "p"],
+    ["prove-check", "/dev/zero"],
+])
+def test_endless_input_is_refused_at_the_byte_limit(argv, capsys):
+    assert main(argv) == 2
+    assert "input limit of 33,554,432 bytes (32 MiB)" in capsys.readouterr().err
 
 
 class _Reached(Exception):

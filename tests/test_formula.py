@@ -14,7 +14,6 @@ from artifact.formula import (
     And,
     Atom,
     Believes,
-    Bottom,
     Box,
     Cond,
     Iff,
@@ -25,7 +24,6 @@ from artifact.formula import (
     Or,
     ParseError,
     TautologyBudgetError,
-    Top,
     instantiate,
     is_boolean,
     is_tautology,
@@ -37,7 +35,7 @@ from artifact.formula import (
     print_formula,
 )
 
-p, q, r = Atom("p"), Atom("q"), Atom("r")
+p, q, r, a0 = Atom("p"), Atom("q"), Atom("r"), Atom("a0")
 
 
 def _random_formula(rng: random.Random, depth: int):
@@ -93,9 +91,6 @@ def test_derived_constructors_expand():
     assert And(p, q) == Not(Or(Not(p), Not(q)))
     assert Implies(p, q) == Or(Not(p), q)
     assert Iff(p, q) == And(Implies(p, q), Implies(q, p))
-    a0 = Atom("a0")
-    assert Top() == Or(a0, Not(a0))
-    assert Bottom() == Not(Or(Not(a0), Not(Not(a0))))
 
 
 def test_structural_equality_is_post_expansion():
@@ -246,7 +241,7 @@ def test_print_examples():
     assert print_formula(And(p, q)) == "p & q"
     assert print_formula(Iff(p, q)) == "p <-> q"
     assert print_formula(Implies(p, Implies(q, r))) == "p -> q -> r"
-    assert print_formula(Top()) == "a0 | ~a0"
+    assert print_formula(Or(a0, Not(a0))) == "a0 | ~a0"
     assert print_formula(Believes(Believes(p))) == "B B p"
     assert print_formula(Box(Believes(Not(p)))) == "[]B ~p"
 
@@ -287,8 +282,8 @@ def test_is_tautology_basics():
     assert not is_tautology(parse("B p -> p"))
     assert not is_tautology(parse("B(p & q) -> B p"))
     assert is_tautology(parse("(p & (p -> q)) -> q"))
-    assert is_tautology(Top())
-    assert not is_tautology(Bottom())
+    assert is_tautology(Or(a0, Not(a0)))
+    assert not is_tautology(And(a0, Not(a0)))
 
 
 def test_modal_subformulas_are_opaque():

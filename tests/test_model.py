@@ -17,7 +17,6 @@ from artifact.model import (
     NonSeparatingValuationError,
     Model,
     UnvaluedAtomError,
-    characteristic_formula,
     check_km_axiom,
     check_km_axiom_via_formulas,
     compile_conjunctions,
@@ -214,12 +213,16 @@ def test_km_checks_match_frame_properties():
 
 # -- characteristic formulas -------------------------------------------------
 
+def _characteristic(m: Model, event: int):
+    return model._characteristic(m.frame.n, m.valuation, event)
+
+
 def test_characteristic_formula_shapes():
     m = make_model(POINTED, {"p": 0b01})
-    assert characteristic_formula(m, 0b10) == Not(Atom("p"))
-    assert characteristic_formula(m, 0b01) == Atom("p")
-    assert truth_set(m, characteristic_formula(m, 0b11)) == 0b11
-    assert truth_set(m, characteristic_formula(m, 0)) == 0
+    assert _characteristic(m, 0b10) == Not(Atom("p"))
+    assert _characteristic(m, 0b01) == Atom("p")
+    assert truth_set(m, _characteristic(m, 0b11)) == 0b11
+    assert truth_set(m, _characteristic(m, 0)) == 0
 
 
 def test_characteristic_formula_covers_all_events():
@@ -228,18 +231,16 @@ def test_characteristic_formula_covers_all_events():
         fr = sample_frame(3, rng)
         m = make_model(fr, {"p": 0b011, "q": 0b101})
         for e in range(8):
-            assert truth_set(m, characteristic_formula(m, e)) == e
+            assert truth_set(m, _characteristic(m, e)) == e
 
 
 def test_characteristic_formula_needs_separation():
     m = make_model(POINTED, {"p": 0b11})
     with pytest.raises(NonSeparatingValuationError):
-        characteristic_formula(m, 0b01)
+        _characteristic(m, 0b01)
     bare = make_model(POINTED, {})
     with pytest.raises(NonSeparatingValuationError):
-        characteristic_formula(bare, 0b01)
-    with pytest.raises(ValueError, match="universe"):
-        characteristic_formula(make_model(POINTED, {"p": 1}), 0b100)
+        _characteristic(bare, 0b01)
 
 
 # -- the two layers agree ----------------------------------------------------

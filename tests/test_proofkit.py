@@ -19,7 +19,6 @@ from artifact.proofkit import (
     check_line,
     check_script,
     delete_line,
-    format_proof_script,
     match_template,
     parse_proof_script,
     script_dependencies,
@@ -83,13 +82,6 @@ def test_rule_scripts_match_registry_templates():
             assert (script.premises, script.target) == (info.premises, info.conclusion), a
         else:
             assert match_template(script.target, info.conclusion) is not None, a
-
-
-def test_text_round_trip():
-    for script in builtin_scripts():
-        text = format_proof_script(script)
-        again = parse_proof_script(text, script.id, script.logic)
-        assert again == script
 
 
 @pytest.mark.parametrize("text,complaint", [

@@ -89,9 +89,7 @@ def test_world_space_shape():
     with pytest.raises(ValueError, match="1 to 4 atoms"):
         world_space(5)
     with pytest.raises(ValueError, match="1 to 4 atoms"):
-        WorldSpace(())
-    with pytest.raises(ValueError, match="duplicate"):
-        WorldSpace(("p", "p"))
+        WorldSpace(0)
 
 
 def test_lift_examples():
