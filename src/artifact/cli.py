@@ -40,6 +40,7 @@ from .formula import (
     print_formula,
 )
 from .frame import (
+    COUNT_MAX_STATES,
     PROPERTY_IDS,
     check_property,
     enumerate_frames,
@@ -191,6 +192,11 @@ def _cmd_frame_check(args) -> int:
 
 
 def _cmd_frame_enum(args) -> int:
+    if args.states > COUNT_MAX_STATES:
+        raise ValueError(
+            f"refusing --states {args.states}: the frame count "
+            f"(2^n-1)^n * 2^(n^2 (2^n-1)) has 4,933 digits at 8 states, too many "
+            f"to print; at most {COUNT_MAX_STATES} states")
     if args.count_only:
         total = frame_count(args.states)
         _emit(args, {"states": args.states, "frames": total}, str(total))

@@ -60,7 +60,8 @@ from operator import or_
 
 __all__ = [
     "Frame", "FrameFormatError", "CONDITIONS", "PROPERTY_IDS", "property_id", "bits",
-    "mask_from_indices", "indices_from_mask", "modal_tables", "check_property", "frame_count",
+    "mask_from_indices", "indices_from_mask", "modal_tables", "check_property",
+    "COUNT_MAX_STATES", "frame_count",
     "enumerate_frames", "sample_frame", "frame_to_json", "frame_from_json",
     "success", "unsurprising", "consistency", "conjunction", "reciprocity",
     "disjunction", "expansion", "vacuity",
@@ -333,6 +334,11 @@ def check_property(fr: Frame, prop_id: str):
 # ---------------------------------------------------------------------------
 # enumeration and sampling
 
+# frame_count(7) has 1,889 digits; frame_count(8) has 4,933, past the
+# 4,300 Python converts to a string, and the count's bits grow as n^2 2^n
+COUNT_MAX_STATES = 7
+
+
 def frame_count(n: int) -> int:
     events = (1 << n) - 1
     return events ** n * (1 << n) ** (n * events)
@@ -340,10 +346,12 @@ def frame_count(n: int) -> int:
 
 def enumerate_frames(n: int):
     """All frames on n states, in a fixed order. Exhaustive enumeration
-    is refused for n >= 3 (the space is astronomically large)."""
+    is refused for n >= 3 (the space is astronomically large); the
+    refusal gives the count up to ``COUNT_MAX_STATES`` states."""
     if n >= 3:
-        raise ValueError(
-            f"refusing to enumerate {frame_count(n)} frames; use sample_frame")
+        what = (f"{frame_count(n)} frames" if n <= COUNT_MAX_STATES
+                else f"the frames on {n} states")
+        raise ValueError(f"refusing to enumerate {what}; use sample_frame")
     full = (1 << n) - 1
     slots = n * full
     for belief in itertools.product(range(1, full + 1), repeat=n):

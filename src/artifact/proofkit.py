@@ -9,27 +9,29 @@ opaque atoms. Scripts for derived rules open with ``premise`` lines
 stating their hypotheses.
 
 Logics are data. ``schema.LOGICS`` names the axioms and rules each logic
-may cite as primitive, and a lemma proved in one logic may be cited in
-another whose items include its own. Every axiom and rule is a registry
-item (premises, conclusion); an axiom is the item with no premises. An
-``ax`` step and a ``lemma`` step go through one instance check: the
+may cite as primitive, and a lemma or rule script proved in one logic
+may be cited in another whose items include its own. Every primitive
+axiom and rule is a registry item (premises, conclusion); an axiom is
+the item with no premises. A derived theorem or rule is stated once, by
+its script: a rule script's premise lines and target are its template.
+An ``ax`` step and a ``lemma`` step go through one instance check: the
 cited template (an axiom's conclusion, a lemma script's target) is
 instantiated with the step's binding, every metavariable it leaves out
 standing for itself, and compared with the line. The keywords ``mp``,
 ``nec_box``, ``nec_cond``, ``rm_box``, ``rm_b`` and ``rm_cond`` name the
-six rules of the base logic, and ``rule <ID>`` names any registered rule
-with premises. All of them are checked the same way: the rule must
-be available (primitive in the script's logic and not excluded, or a
-derived rule of the base logic with a checked script), and its template
-must match the cited lines and the conclusion. For ``nec_cond`` and
-``rm_cond`` the formula after the line number binds GAMMA. Exclusions
-remove axioms and primitive rules alike. A ``taut`` or ``pl`` line whose
-truth table would exceed ``is_tautology``'s opaque-atom budget is a
-failed line, not an error.
+six rules of the base logic, and ``rule <ID>`` names any registry rule
+with premises or, failing that, a registered rule script. All of them
+are checked the same way: the rule must be available (primitive in the
+script's logic and not excluded, or a rule script within the lemma
+fence), and its template must match the cited lines and the conclusion.
+For ``nec_cond`` and ``rm_cond`` the formula after the line number binds
+GAMMA. Exclusions remove axioms and primitive rules alike. A ``taut`` or
+``pl`` line whose truth table would exceed ``is_tautology``'s
+opaque-atom budget is a failed line, not an error.
 
 Scripts are checked at the metavariable level: one pass certifies all
 uniform Boolean instances, since every justification kind used here is
-closed under substitution. Lemma and derived-rule citations form a
+closed under substitution. Lemma and rule-script citations form a
 dependency graph that the registry validates in order, rejecting cycles
 and unregistered references.
 
@@ -40,7 +42,7 @@ with justifications ``taut``, ``ax <ID> [phi=.., psi=..]``, ``mp i j``,
 ``premise`` for a rule script's hypotheses and ``lemma <ID> [..]`` for
 instances of previously proved scripts. The format is read, never
 written: no command prints a script back. ``check_script`` and
-``check_line`` take the registry that lemma and derived-rule citations
+``check_line`` take the registry that lemma and rule-script citations
 resolve in; every caller passes one, ``builtin_registry()`` for the
 builtin corpus.
 """
@@ -128,10 +130,6 @@ class Verdict:
     ok: bool
     line: int | None = None
     reason: str | None = None
-
-
-_DERIVED_RULE_IDS = tuple(a for a, info in REGISTRY.items()
-                          if info.premises and info.theorem_of_l)
 
 
 def _keyword_rule(rid: str) -> tuple[str, int, tuple[str, ...]]:
@@ -314,16 +312,31 @@ def _available(ref: str, logic: str, excluded_axioms: frozenset[str]) -> bool:
     return ref in LOGICS[logic] and ref not in excluded_axioms
 
 
+def _citable(dep: ProofScript, logic: str) -> bool:
+    """Whether a script in ``logic`` may cite the lemma or rule script
+    ``dep``: its logic's items must be among ``logic``'s."""
+    return LOGICS[dep.logic] <= LOGICS[logic]
+
+
 def _check_rule_step(j: Justification, f: Formula, cited: list[Formula], logic: str,
-                     excluded_axioms: frozenset[str]):
-    """Look the rule up, check that it is available, then match its
-    template over every cited premise line and the conclusion ``f``."""
+                     excluded_axioms: frozenset[str], registry: ProofRegistry):
+    """Look the rule up, a primitive registry rule or else a rule script,
+    check that it is available, then match its template over every cited
+    premise line and the conclusion ``f``."""
     info = REGISTRY.get(j.ref)
-    if info is None or not info.premises:
-        return _fail(f"unknown rule of inference {j.ref!r}")
-    if not (_available(j.ref, logic, excluded_axioms) or j.ref in _DERIVED_RULE_IDS):
-        return _fail(f"rule {j.ref} is not available in logic {logic}")
-    premises = info.premises
+    if info is not None and info.premises:
+        if not _available(j.ref, logic, excluded_axioms):
+            return _fail(f"rule {j.ref} is not available in logic {logic}")
+        premises, conclusion = info.premises, info.conclusion
+    else:
+        # a registry id never names a script: script_dependencies checks
+        # the scripts of the other ids only
+        dep = None if info else registry.script(j.ref)
+        if dep is None or not dep.is_rule:
+            return _fail(f"unknown rule of inference {j.ref!r}")
+        if not _citable(dep, logic):
+            return _fail(f"rule {j.ref} belongs to logic {dep.logic}")
+        premises, conclusion = dep.premises, dep.target
     if len(cited) != len(premises):
         return _fail(f"rule {j.ref} takes {len(premises)} premise line(s)")
     env = dict(j.binding)
@@ -332,7 +345,6 @@ def _check_rule_step(j: Justification, f: Formula, cited: list[Formula], logic: 
         if env is None:
             return _fail(f"line {i} does not match premise {print_formula(template)}"
                          f" of rule {j.ref}")
-    conclusion = info.conclusion
     if match_template(conclusion, f, env) is not None:
         return True, None
     if set(metavariable_names(conclusion)) <= env.keys():
@@ -372,7 +384,7 @@ def check_line(script: ProofScript, index: int, registry: ProofRegistry,
                 return _fail(f"unregistered dependency {j.ref!r}")
             if dep.is_rule:
                 return _fail(f"{j.ref} is a rule script; cite it with 'rule'")
-            if not LOGICS[dep.logic] <= LOGICS[script.logic]:
+            if not _citable(dep, script.logic):
                 return _fail(f"lemma {j.ref} belongs to logic {dep.logic}")
             return _check_instance("lemma", j, dep.target, f)
         case "pl":
@@ -382,7 +394,7 @@ def check_line(script: ProofScript, index: int, registry: ProofRegistry,
             return _check_tautology(Implies(premise, f),
                                     "not a propositional consequence of the cited lines")
     if _is_rule_step(j):
-        return _check_rule_step(j, f, cited, script.logic, excluded_axioms)
+        return _check_rule_step(j, f, cited, script.logic, excluded_axioms, registry)
     return _fail(f"unknown justification kind {j.kind!r}")
 
 
@@ -395,7 +407,7 @@ def script_dependencies(script: ProofScript) -> frozenset[str]:
         j = line.justification
         if j.kind == "lemma":
             deps.add(j.ref)
-        elif j.kind == "rule" and j.ref in _DERIVED_RULE_IDS:
+        elif j.kind == "rule" and j.ref not in REGISTRY:
             deps.add(j.ref)
     return frozenset(deps)
 
@@ -450,12 +462,6 @@ def check_script(script: ProofScript, registry: ProofRegistry,
             if verdict.line is not None:
                 reason = f"line {verdict.line}: {reason}"
             return Verdict(False, None, f"dependency {dep} failed: {reason}")
-        dep_script = registry.script(dep)
-        if dep in _DERIVED_RULE_IDS:
-            info = REGISTRY[dep]
-            if (dep_script.premises, dep_script.target) != (info.premises, info.conclusion):
-                return Verdict(False, None,
-                               f"script {dep} does not establish the rule {dep}")
     for index in range(1, len(script.lines) + 1):
         ok, reason = check_line(script, index, registry, excluded_axioms)
         if not ok:
@@ -674,8 +680,9 @@ def verify_containment(excluded_axioms: frozenset[str] = frozenset(),
     the shared schemas and rules by identity, the remaining three
     axioms by checked derivation. ``excluded_axioms`` names axioms and
     rules to treat as unavailable as primitives; an id that no logic
-    cites as primitive (unknown, or derived, which every script may use
-    anyway) raises ValueError, since excluding it would change nothing."""
+    cites as primitive (unknown, or derived by a script, which is cited
+    through that script) raises ValueError, since excluding it would
+    change nothing."""
     primitive = frozenset().union(*LOGICS.values())
     unusable = sorted(a for a in excluded_axioms if a not in primitive)
     if unusable:

@@ -9,7 +9,10 @@ whether it has any. The six rules of the base logic L (``MP``,
 the update- and revision-logic rules.
 ``LOGICS`` maps each logic name to the items it may cite as primitive;
 the update logic (KM) and the revision logic (AGM) are L plus their
-extensions.
+extensions. The registry holds primitives only: every item is in some
+``LOGICS`` entry. A derived theorem or rule, such as ``N_B`` or
+``RM_B_cond`` of L, is stated once, by the ``proofkit`` script that
+derives it.
 
 A schema is valid on a frame when every instance is true at every state
 of every model based on that frame. Because the schemas restrict their
@@ -76,12 +79,11 @@ class AxiomInfo:
     id: str
     premises: tuple[Formula, ...]
     conclusion: Formula
-    theorem_of_l: bool = False
 
 
-def _item(id_, premises, conclusion, **flags):
+def _item(id_, premises, conclusion):
     return AxiomInfo(id_, tuple(map(parse_schema_text, premises)),
-                     parse_schema_text(conclusion), **flags)
+                     parse_schema_text(conclusion))
 
 
 _ENTRIES = [
@@ -99,8 +101,7 @@ _ENTRIES = [
     _item("RM_B", ["ALPHA -> BETA"], "B ALPHA -> B BETA"),
     _item("RM_cond", ["ALPHA -> BETA"], "(GAMMA > ALPHA) -> (GAMMA > BETA)"),
     # update-logic axioms (Boolean metavariables)
-    _item("A_star_1_diamond_0", [],
-          "B(PHI > PSI) & B(PHI > (PSI -> CHI)) -> B(PHI > CHI)", theorem_of_l=True),
+    _item("A_star_1_diamond_0", [], "B(PHI > PSI) & B(PHI > (PSI -> CHI)) -> B(PHI > CHI)"),
     _item("A_star_2_diamond_1", [], "B(PHI > PHI)"),
     _item("A_diamond_2", [], "B PHI -> (B PSI <-> B(PHI > PSI))"),
     _item("A_star_5b_diamond_3b", [], "~[]~PHI & B(PHI > PSI) -> ~B(PHI > ~PSI)"),
@@ -120,24 +121,14 @@ _ENTRIES = [
     # rules of inference shared by both extensions
     _item("R_star_5a_diamond_3a", ["~PHI"], "B(PHI > PSI)"),
     _item("R_star_6_diamond_4", ["PHI <-> PSI"], "B(PHI > CHI) <-> B(PSI > CHI)"),
-    # derived theorems and rules of the base logic
-    _item("C_not_box_not", [], "~[]~(ALPHA & BETA) -> ~[]~ALPHA", theorem_of_l=True),
-    _item("C_B_inv", [], "B(ALPHA & BETA) -> B ALPHA & B BETA", theorem_of_l=True),
-    _item("K_cond", [], "(ALPHA > BETA) & (ALPHA > (BETA -> GAMMA)) -> (ALPHA > GAMMA)",
-          theorem_of_l=True),
-    _item("RM_not_box_not", ["ALPHA -> BETA"], "~[]~ALPHA -> ~[]~BETA",
-          theorem_of_l=True),
-    _item("N_B", ["ALPHA"], "B ALPHA", theorem_of_l=True),
-    _item("RM_B_cond", ["ALPHA -> BETA"], "B(GAMMA > ALPHA) -> B(GAMMA > BETA)",
-          theorem_of_l=True),
 ]
 
 REGISTRY: dict[str, AxiomInfo] = {e.id: e for e in _ENTRIES}
 AXIOM_IDS = tuple(REGISTRY)
 L_CORE_IDS = ("D_B", "C_box", "C_B", "C_cond", "NB")
 
-# The items each logic may cite as primitive. A lemma proved in logic Y
-# may be cited in logic X when LOGICS[Y] <= LOGICS[X].
+# The items each logic may cite as primitive. A lemma or rule script
+# proved in logic Y may be cited in logic X when LOGICS[Y] <= LOGICS[X].
 _L_ITEMS = frozenset(L_CORE_IDS + ("MP", "N_box", "N_cond", "RM_box", "RM_B", "RM_cond"))
 _SHARED_ITEMS = frozenset({
     "A_star_1_diamond_0", "A_star_2_diamond_1", "A_star_5b_diamond_3b",

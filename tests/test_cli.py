@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from artifact import cli, model, schema
+from artifact import cli, frame, model, schema
 from artifact.cli import main
 from artifact.frame import Frame, check_property, frame_from_json, frame_to_json, sample_frame
 from artifact.model import make_model, model_to_json, truth_set
@@ -155,6 +155,32 @@ def test_frame_enum_emits_loadable_frames(tmp_path):
 def test_frame_enum_refuses_three_states(capsys):
     assert main(["frame-enum", "--states", "3"]) == 2
     capsys.readouterr()
+
+
+def test_frame_enum_never_counts_past_the_cap(monkeypatch, capsys):
+    """Past 7 states the frame count has too many digits to print (and
+    at 28 states would take about 26 GB to build), so it is never
+    computed; up to the cap the count is printed exactly."""
+    counted, real = [], frame.frame_count
+
+    def spy(n):
+        counted.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cli, "frame_count", spy)
+    monkeypatch.setattr(frame, "frame_count", spy)
+    for states in ("8", "28"):
+        for extra in ([], ["--count-only"]):
+            assert main(["frame-enum", "--states", states] + extra) == 2
+            err = capsys.readouterr().err
+            assert f"refusing --states {states}" in err and "at most 7 states" in err
+            assert counted == []
+    assert main(["frame-enum", "--states", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: refusing to enumerate 3163616608641188102144 frames; use sample_frame\n")
+    assert main(["frame-enum", "--states", "7", "--count-only"]) == 0
+    assert capsys.readouterr().out == f"{127 ** 7 * 2 ** (49 * 127)}\n"
+    assert counted == [3, 7]
 
 
 def test_check_km_with_bridge(model_path, capsys):

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from artifact import frame as frame_module
 from artifact.frame import (
     PROPERTY_IDS,
     Frame,
@@ -248,6 +249,22 @@ def test_enumerate_two_states_exhaustive_and_distinct():
 def test_enumerate_refuses_three_states():
     with pytest.raises(ValueError, match="refusing"):
         next(enumerate_frames(3))
+
+
+def test_enumerate_refusal_counts_only_up_to_the_cap(monkeypatch):
+    counted = []
+
+    def spy(n):
+        counted.append(n)
+        return frame_count(n)
+
+    monkeypatch.setattr(frame_module, "frame_count", spy)
+    with pytest.raises(ValueError, match="^refusing to enumerate the frames on 28 states"):
+        next(enumerate_frames(28))
+    assert counted == []
+    with pytest.raises(ValueError, match=f"^refusing to enumerate {frame_count(7)} frames"):
+        next(enumerate_frames(7))
+    assert counted == [7]
 
 
 def test_property_counts_are_nontrivial():

@@ -67,21 +67,33 @@ def test_conjunction_splitting_dependencies():
                                            "A6w_swap19", "RM_B_cond"}
 
 
-def test_rule_scripts_match_registry_templates():
-    """Every derived registry item is what its script proves: a rule's
-    premises and conclusion are its script's, and a theorem's conclusion
-    is an instance of its script's target (A_star_1_diamond_0's script
-    proves the general-sorted form, of which the Boolean item is one)."""
+def test_no_rule_script_shares_an_id_with_a_registry_item():
+    """A ``rule`` step resolves a registry id in the registry alone, so
+    a rule script named like a registry item would never be cited."""
     from artifact.schema import REGISTRY as AXIOMS
-    derived = {a for a, info in AXIOMS.items() if info.theorem_of_l}
-    assert derived == set(REMARK_RULES) | set(REMARK_THEOREMS)
-    for a in sorted(derived):
-        info, script = AXIOMS[a], REGISTRY.script(a)
-        assert script.is_rule == bool(info.premises), a
-        if info.premises:
-            assert (script.premises, script.target) == (info.premises, info.conclusion), a
-        else:
-            assert match_template(script.target, info.conclusion) is not None, a
+    rule_ids = {s.id for s in builtin_scripts() if s.is_rule}
+    assert rule_ids == set(REMARK_RULES)
+    assert not rule_ids & AXIOMS.keys()
+
+
+def test_a_registry_id_never_names_a_rule_script():
+    # NB is a registry axiom, so a rule script of that name is neither
+    # cited nor checked as a dependency
+    reg = ProofRegistry()
+    reg.register(_script("1. ALPHA ; premise\n2. []ALPHA ; nec_box 1", script_id="NB"))
+    script = _script("1. PHI | ~PHI ; taut\n2. [](PHI | ~PHI) ; rule NB 1")
+    assert script_dependencies(script) == frozenset()
+    assert check_line(script, 2, reg) == (False, "unknown rule of inference 'NB'")
+
+
+def test_a_star_1_is_an_instance_of_its_l_lemma():
+    """The update and revision logics' A_star_1_diamond_0 is primitive,
+    and also a theorem of L: its L script proves the general-sorted
+    form, of which the Boolean registry item is an instance."""
+    from artifact.schema import REGISTRY as AXIOMS
+    script = REGISTRY.script("A_star_1_diamond_0")
+    assert script.logic == "L" and not script.is_rule
+    assert match_template(script.target, AXIOMS["A_star_1_diamond_0"].conclusion) is not None
 
 
 @pytest.mark.parametrize("text,complaint", [
@@ -215,6 +227,23 @@ def test_kripke_lemma_logic_fence(lemma_logic, script_logic):
     assert ok == allowed, reason
     if not ok:
         assert f"belongs to logic {lemma_logic}" in reason
+
+
+@pytest.mark.parametrize("rule_logic,script_logic", list(product(LOGICS, repeat=2)))
+def test_rule_script_logic_fence(rule_logic, script_logic):
+    """A rule script is cited under the lemma fence: from one logic in
+    another exactly when the first logic's items are among the
+    second's."""
+    reg = ProofRegistry()
+    reg.register(_script("1. ALPHA ; premise\n2. []ALPHA ; nec_box 1", rule_logic, "box_it"))
+    script = _script("1. PHI | ~PHI ; taut\n2. [](PHI | ~PHI) ; rule box_it 1", script_logic)
+    ok, reason = check_line(script, 2, reg)
+    allowed = LOGICS[rule_logic] <= LOGICS[script_logic]
+    assert allowed == (rule_logic in ("L", script_logic))
+    assert ok == allowed, reason
+    if not ok:
+        assert reason == f"rule box_it belongs to logic {rule_logic}"
+    assert check_script(script, reg).ok == allowed
 
 
 def test_unregistered_dependency():

@@ -12,6 +12,7 @@ from artifact.frame import (CONDITIONS, PROPERTY_IDS, Frame, check_property, enu
                             frame_to_json, modal_tables, property_id, sample_frame)
 from artifact.model import (_KM_POSTULATES, UnvaluedAtomError, compile_conjunctions,
                             denotation, make_model, truth_set)
+from artifact.proofkit import builtin_scripts
 from artifact.schema import (
     AGM_IDS,
     AXIOM_IDS,
@@ -43,7 +44,7 @@ BASE_RULE_IDS = ("MP", "N_box", "N_cond", "RM_box", "RM_B", "RM_cond")
 
 
 def test_registry_inventory():
-    assert len(AXIOM_IDS) == 29
+    assert len(AXIOM_IDS) == 23
     assert set(L_CORE_IDS) <= set(SCHEMA_IDS)
     assert set(BASE_RULE_IDS) <= set(RULE_IDS)
     assert LOGICS["L"] == set(L_CORE_IDS) | set(BASE_RULE_IDS)
@@ -58,10 +59,11 @@ def test_registry_inventory():
     }
     assert set(KM_IDS) - shared == {"A_diamond_2", "A_diamond_6w", "A_diamond_7s"}
     assert set(AGM_IDS) - shared == {"A_star_3", "A_star_4", "A_star_8_diamond_9s"}
-    assert REGISTRY["A_star_1_diamond_0"].theorem_of_l
-    assert not REGISTRY["A_star_2_diamond_1"].theorem_of_l
-    for a in ("C_not_box_not", "C_B_inv", "K_cond", "RM_not_box_not", "N_B", "RM_B_cond"):
-        assert REGISTRY[a].theorem_of_l
+
+
+def test_registry_holds_primitives_only():
+    # a derived theorem or rule is stated by its proof script alone
+    assert set(AXIOM_IDS) == set().union(*LOGICS.values())
 
 
 def test_unknown_ids():
@@ -80,13 +82,21 @@ def test_counterexample_pins_first_failure():
     assert not mask >> s & 1
 
 
-def test_theorems_of_l_valid_everywhere_on_stride():
-    always = [a for a in SCHEMA_IDS
-              if REGISTRY[a].theorem_of_l or a in L_CORE_IDS]
-    for fr in stride_frames():
-        for a in always:
+def test_l_core_and_every_l_script_valid_everywhere():
+    """The base logic is sound on every frame: its core axioms are
+    valid, and each builtin L script's target holds wherever its
+    premises do, which covers the derived theorems and rules of L that
+    only their scripts state."""
+    scripts = [s for s in builtin_scripts() if s.logic == "L"]
+    assert {"N_B", "RM_not_box_not", "RM_B_cond", "C_B_cond"} <= {s.id for s in scripts}
+    rng = random.Random(13)
+    for fr in stride_frames() + [sample_frame(3, rng) for _ in range(50)]:
+        for a in L_CORE_IDS:
             valid, cex = schema_valid_on_frame(fr, a)
             assert valid, (a, fr, cex)
+        for s in scripts:
+            valid, cex = rule_preserves_validity(fr, s.premises, s.target)
+            assert valid, (s.id, fr, cex)
 
 
 def test_compiled_matches_generic_on_two_state_stride():
@@ -164,8 +174,9 @@ def test_event_instantiation_matches_formula_semantics():
 
 
 def test_shared_rules_are_validity_preserving_everywhere():
-    # every registered rule: the six base-logic rules, the two shared by
-    # the update and revision logics, and the derived rules of L
+    # every registered rule: the six base-logic rules and the two shared
+    # by the update and revision logics; the derived rules of L are
+    # checked with their scripts in test_l_core_and_every_l_script_valid_everywhere
     assert set(BASE_RULE_IDS) <= set(RULE_IDS)
     for fr in stride_frames():
         for r in RULE_IDS:
