@@ -482,11 +482,16 @@ def criterion_proof_suite() -> dict:
         if registry.script(sid) is None or len(registry.script(sid).lines) != want
     }
     containment = verify_containment()
+    # A deletion mutant of line k keeps lines 1..k-1 of its original;
+    # where the original passed, those lines pass again, so the mutant is
+    # checked from line k.
     mutants = survivors = 0
     for script in scripts:
+        passed = script.id not in script_failures
         for k in range(1, len(script.lines) + 1):
             mutants += 1
-            if check_script(delete_line(script, k), registry).ok:
+            mutant = delete_line(script, k)
+            if check_script(mutant, registry, from_line=k if passed else 1).ok:
                 survivors += 1
     return {
         "ok": (not script_failures and not length_errors and containment["ok"]

@@ -56,6 +56,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from decimal import Decimal
 from operator import or_
 
 __all__ = [
@@ -347,10 +348,16 @@ def frame_count(n: int) -> int:
 def enumerate_frames(n: int):
     """All frames on n states, in a fixed order. Exhaustive enumeration
     is refused for n >= 3 (the space is astronomically large); the
-    refusal gives the count up to ``COUNT_MAX_STATES`` states."""
+    refusal gives the count up to ``COUNT_MAX_STATES`` states: exactly
+    while it has fewer than 25 digits (3 states, 22 digits), rounded to
+    three figures from 4 states on (77 to 1,889 digits)."""
     if n >= 3:
-        what = (f"{frame_count(n)} frames" if n <= COUNT_MAX_STATES
-                else f"the frames on {n} states")
+        if n > COUNT_MAX_STATES:
+            what = f"the frames on {n} states"
+        else:
+            count = frame_count(n)
+            what = (f"{count} frames" if count < 10 ** 24
+                    else f"about {Decimal(count):.2e} frames")
         raise ValueError(f"refusing to enumerate {what}; use sample_frame")
     full = (1 << n) - 1
     slots = n * full

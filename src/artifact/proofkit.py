@@ -452,9 +452,19 @@ class ProofRegistry:
 
 
 def check_script(script: ProofScript, registry: ProofRegistry,
-                 excluded_axioms: frozenset[str] = frozenset()) -> Verdict:
-    """Check every dependency, every line, and the target. Returns the
-    first failure with its line number (None for script-level faults)."""
+                 excluded_axioms: frozenset[str] = frozenset(),
+                 from_line: int = 1) -> Verdict:
+    """Check every dependency, every line from ``from_line`` on, and the
+    target. Returns the first failure with its line number (None for
+    script-level faults).
+
+    A caller passing ``from_line`` > 1 vouches that lines 1 to
+    from_line - 1 already passed in a script that has the same lines up
+    to there and the same logic, checked with the same registry and
+    exclusions: ``check_line`` at line i reads only lines 1 to i, the
+    logic, the registry and the exclusions, so it would pass them
+    again. A deletion mutant of line k and its checked original are
+    such a pair for ``from_line`` = k."""
     for dep in sorted(script_dependencies(script)):
         verdict = registry.check(dep, excluded_axioms)
         if not verdict.ok:
@@ -462,7 +472,7 @@ def check_script(script: ProofScript, registry: ProofRegistry,
             if verdict.line is not None:
                 reason = f"line {verdict.line}: {reason}"
             return Verdict(False, None, f"dependency {dep} failed: {reason}")
-    for index in range(1, len(script.lines) + 1):
+    for index in range(from_line, len(script.lines) + 1):
         ok, reason = check_line(script, index, registry, excluded_axioms)
         if not ok:
             return Verdict(False, index, reason)

@@ -29,15 +29,21 @@ conditional expansion) on rows picked here: each world's update row
 lifted row lift(K, ·) for the conclusion. Each lemma checker audits the hypothesis first and
 reports the first violating (K, E, F) triple in ascending mask order.
 
-Rows are tuples, so a sweep over many families can hand each lemma
-checker a verdict memo (a dict it owns for that sweep, as
+Rows are tuples, so a sweep over families of one atom count can hand
+each lemma checker a verdict memo (a dict it owns for that sweep, as
 ``cli.run_worlds_report`` does; a call without one uses a memo of its
 own): every row met is still checked, but a row met before in the sweep
 reuses its verdict instead of running the predicate again. Disjunction
 and expansion read only the row, never its belief event, so the row
-alone is the key. A memo stores at most ``_MEMO_CELLS`` row cells and
-checks rows past that without storing them, which bounds its memory at
-three atoms, where rows have 256 cells and rarely repeat.
+alone is the key; a row missing from the memo is checked with its own
+belief event all the same. A memo stores at most ``_MEMO_CELLS`` row
+cells and checks rows past that without storing them, which bounds its
+memory at three atoms, where rows have 256 cells and rarely repeat.
+Each checker walks the world rows, then the lifted rows, in one plain
+loop that looks each row up in the memo itself: the lifting-lemma
+criterion makes 10,192 checker calls, so no closure or generator is
+built per call. ``audit_k9``, which has no memo, scans with
+``_first_violation``.
 """
 
 from __future__ import annotations
@@ -161,19 +167,25 @@ def _lift_table(fam: Frame) -> list[tuple[int, ...]]:
     return table
 
 
-def _memoized(condition, memo: dict):
-    """The condition, each row's verdict looked up in ``memo`` first.
-    The row predicates read only the row, never the belief event, so the
-    row alone keys the verdict. Rows past ``_MEMO_CELLS`` stored cells
-    are checked without being stored."""
-    def check(row, belief, full):
-        cex = memo.get(row, _UNSEEN)
+def _first_memo_violation(condition, memo: dict, beliefs, rows, start: int,
+                          full: int):
+    """First (index, E, F) over the rows from index ``start`` on, each
+    checked with its own belief event ``beliefs[index]``, or None. A
+    row's verdict is looked up in ``memo`` first: the row predicates
+    read only the row, never the belief event, so the row alone keys
+    the verdict. Rows met once the memo holds ``_MEMO_CELLS`` cells are
+    checked without being stored; every row has full + 1 cells."""
+    get, room = memo.get, _MEMO_CELLS // (full + 1)
+    for index in range(start, len(rows)):
+        row = rows[index]
+        cex = get(row, _UNSEEN)
         if cex is _UNSEEN:
-            cex = condition(row, belief, full)
-            if (len(memo) + 1) * len(row) <= _MEMO_CELLS:
+            cex = condition(row, beliefs[index], full)
+            if len(memo) < room:
                 memo[row] = cex
-        return cex
-    return check
+        if cex is not None:
+            return (index, *cex)
+    return None
 
 
 def _check_lemma(fam: Frame, lemma: str, condition,
@@ -182,13 +194,12 @@ def _check_lemma(fam: Frame, lemma: str, condition,
     belief event's row lift(K, ·). A row already in the memo, the sweep's
     or one made for this call, reuses its verdict."""
     full = fam.full
-    condition = _memoized(condition, {} if memo is None else memo)
-    bad = _first_violation(condition, _world_rows(fam), full)
+    memo = {} if memo is None else memo
+    bad = _first_memo_violation(condition, memo, fam.belief, fam.rows, 0, full)
     if bad is not None:
         return LemmaReport(lemma, False, bad, None, None)
-    lift = _lift_table(fam)
-    cex = _first_violation(
-        condition, ((k, k, lift[k]) for k in range(1, full + 1)), full)
+    cex = _first_memo_violation(condition, memo, range(full + 1),
+                                _lift_table(fam), 1, full)
     return LemmaReport(lemma, True, None, cex is None, cex)
 
 

@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
+from artifact import cli, proofkit
 from artifact.formula import Atom, metavariable_names, parse_schema_text, print_formula
 from artifact.frame import Frame, PROPERTY_IDS, check_property, sample_frame
 from artifact.model import make_model, truth_set
@@ -290,6 +291,56 @@ def test_deleting_a_cited_line_is_caught():
     for k in (1, 5, 11, 14):
         verdict = check_script(delete_line(script, k), REGISTRY)
         assert not verdict.ok, f"deletion of line {k} slipped through"
+
+
+def test_mutants_checked_from_the_deleted_line_get_the_full_verdict():
+    # A deletion mutant of line k shares lines 1..k-1 with its checked
+    # original, so checking it from line k must give the same verdict,
+    # failing line and reason as checking it from line 1.
+    mutants = 0
+    for script in builtin_scripts():
+        assert REGISTRY.check(script.id).ok
+        for k in range(1, len(script.lines) + 1):
+            mutants += 1
+            mutant = delete_line(script, k)
+            assert (check_script(mutant, REGISTRY, from_line=k)
+                    == check_script(mutant, REGISTRY)), (script.id, k)
+    assert mutants == 139
+
+
+def test_proof_suite_checks_mutants_of_a_failed_script_in_full(monkeypatch):
+    # "bad" fails at line 2. Its mutants that keep line 2 but drop a
+    # later line fail only when line 2 is checked again; from the deleted
+    # line they would pass.
+    bad = _script("1. PHI -> PHI ; taut\n2. PHI ; taut\n"
+                  "3. PHI | ~PHI ; taut\n4. PHI | ~PHI ; taut", script_id="bad")
+    reg = ProofRegistry()
+    for script in builtin_scripts() + (bad,):
+        reg.register(script)
+    assert reg.check("bad") == Verdict(False, 2, "not a propositional tautology")
+    monkeypatch.setattr(cli, "builtin_registry", lambda: reg)
+    monkeypatch.setattr(cli, "builtin_scripts", reg.scripts)
+    failures = [s.id for s in reg.scripts() if not reg.check(s.id).ok]
+    survivors = sum(check_script(delete_line(s, k), reg).ok
+                    for s in reg.scripts() for k in range(1, len(s.lines) + 1))
+    report = cli.criterion_proof_suite()
+    assert (report["script_failures"], report["undetected_mutants"]) == (failures, survivors)
+    assert (failures, survivors) == (["bad"], 1)  # only deleting line 2 repairs it
+
+
+def test_proof_suite_checks_each_mutant_from_its_deleted_line(monkeypatch):
+    # 139 lines for the 15 originals, and for each mutant the lines from
+    # the deleted one up to its first failing line: 171 in all.
+    calls = []
+
+    def spy(script, index, *args):
+        calls.append(index)
+        return check_line(script, index, *args)
+
+    monkeypatch.setattr(proofkit, "check_line", spy)
+    proofkit.builtin_registry.cache_clear()
+    assert cli.criterion_proof_suite()["ok"]
+    assert len(calls) == 310
 
 
 def swap_lines(script: ProofScript, i: int, j: int) -> ProofScript:
