@@ -25,23 +25,25 @@ hashing frames.
 Every update condition the package checks is written here once, as a
 predicate on an update row and its belief event: success, unsurprising,
 consistency, conjunction (◇5), reciprocity (◇6w), disjunction (◇7s),
-expansion (◇9s) and revision's vacuity (*4). Which registry item each
-predicate restates is written here once too, in ``CONDITIONS``: item id
-to row predicate, or None for an item that holds on every frame. An item
-with a predicate holds on a frame when the predicate holds on every
-state's row; the correspondence sweeps play the two against each other.
-An entry with a predicate is a frame property, whose id is the item's id
-with the leading ``A`` replaced by ``P`` (``A_diamond_2`` is
-``P_diamond_2``); ``PROPERTY_IDS`` lists them in table order. The keys
-are plain strings, so this module imports nothing from ``schema``.
+expansion (◇9s), and revision's inclusion (*3) and vacuity (*4). Which
+registry item each predicate restates is written here once too, in
+``CONDITIONS``: item id to row predicate, or None for an item that holds
+on every frame. An item with a predicate holds on a frame when the
+predicate holds on every state's row; the correspondence sweeps play the
+two against each other. An entry with a predicate is a frame property,
+whose id is the item's id with the leading ``A`` replaced by ``P``
+(``A_diamond_2`` is ``P_diamond_2``); ``PROPERTY_IDS`` lists them in
+table order. The keys are plain strings, so this module imports nothing
+from ``schema``.
 
 The layers above only pick the rows, and reach a predicate through the
 table: ``check_property`` runs a property's predicate on every state's
 row of a frame, ``schema.CORRESPONDENCE_PAIRS`` pairs axioms with
-properties, and ``model.check_km_axiom`` runs the predicate of a
-postulate's item on one state's row. Only ``worlds`` names predicates,
-disjunction and expansion, which it runs on each world's row and on each
-lifted belief event's row.
+properties, ``lanes.lane_chunks`` runs a sweep's properties once per
+distinct (belief, row) pair, and ``model.check_km_axiom`` runs the
+predicate of a postulate's item on one state's row. Only ``worlds``
+names predicates, disjunction and expansion, which it runs on each
+world's row and on each lifted belief event's row.
 
 Counterexamples come in a fixed scan order (rows ascending, then event
 masks ascending, pairs in lexicographic order). Reciprocity and
@@ -65,7 +67,7 @@ __all__ = [
     "COUNT_MAX_STATES", "frame_count",
     "enumerate_frames", "sample_frame", "frame_to_json", "frame_from_json",
     "success", "unsurprising", "consistency", "conjunction", "reciprocity",
-    "disjunction", "expansion", "vacuity",
+    "disjunction", "expansion", "inclusion", "vacuity",
 ]
 
 
@@ -276,6 +278,14 @@ def expansion(r, b: int, full: int):
     return None
 
 
+def inclusion(r, b: int, full: int):
+    """The believed part of an input survives: b&E <= r[E] (*3)."""
+    for e in range(1, full + 1):
+        if b & e & ~r[e]:
+            return (e,)
+    return None
+
+
 def vacuity(r, b: int, full: int):
     """Revision's vacuity bound (*4): when b&E is non-empty, r[E] lies
     inside every F containing b&E; F ranges over all masks, empty included."""
@@ -300,7 +310,9 @@ CONDITIONS = {
     "A_star_7_diamond_5": conjunction,
     "A_diamond_6w": reciprocity,
     "A_diamond_7s": disjunction,
+    "A_star_3": inclusion,
     "A_star_4": vacuity,
+    "A_star_8_diamond_9s": expansion,
     "R_star_5a_diamond_3a": None,
     "R_star_6_diamond_4": None,
 }

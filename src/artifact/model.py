@@ -17,7 +17,9 @@ clauses as lookups into the frame's ``modal_tables`` (B a is
 function scans the belief map or the selection; the frame builds the
 tables on the first function's call and keeps them for the rest. Every
 compiler builds on it: ``schema.compile_schema_checker`` for whole-frame
-schema validity scans, and ``compile_conjunctions`` for concrete
+schema validity scans (and, through the lane mode ``lanes._LaneCodegen``,
+which overrides its Boolean and modal clauses, for the scans of many
+frames at once), and ``compile_conjunctions`` for concrete
 formulas under a fixed valuation and state count. The latter knows the
 universe at compile time, so ``_Codegen`` writes it as a literal and
 folds every node whose value no longer depends on the frame; a
@@ -270,6 +272,22 @@ class _Codegen:
             got = self.statements[key] = (v, level)
         return got
 
+    def believes(self, x: tuple[str, int]) -> tuple[str, int]:
+        ex, lx = x
+        return self.statement(("B", ex), lx, f"{{v}} = bel[{ex}]")
+
+    def conditional(self, x: tuple[str, int], y: tuple[str, int]) -> tuple[str, int]:
+        (ex, lx), (ey, ly) = x, y
+        if self.literal(ex) == 0:
+            return str(self.full), 0  # vacuous case
+        return self.statement(("C", ex, ey), max(lx, ly), f"{{v}} = cnd[{ex}][{ey}]")
+
+    def box(self, x: tuple[str, int]) -> tuple[str, int]:
+        ex, lx = x
+        if self.literal(ex) is not None:
+            return str(self.full if int(ex) == self.full else 0), 0
+        return self.statement(("[]", ex), lx, f"{{v}} = {{top}} if {ex} == {{top}} else 0")
+
     def emit(self, f: Formula) -> tuple[str, int]:
         got = self.memo.get(id(f))
         if got is not None:
@@ -285,26 +303,15 @@ class _Codegen:
         else:
             match f:  # modal nodes first, the most frequent here
                 case Believes(child):
-                    ex, lx = self.emit(child)
-                    out = self.statement(("B", ex), lx, f"{{v}} = bel[{ex}]")
+                    out = self.believes(self.emit(child))
                 case Cond(antecedent, consequent):
-                    (ex, lx), (ey, ly) = self.emit(antecedent), self.emit(consequent)
-                    if self.literal(ex) == 0:
-                        out = (str(self.full), 0)  # vacuous case
-                    else:
-                        out = self.statement(("C", ex, ey), max(lx, ly),
-                                             f"{{v}} = cnd[{ex}][{ey}]")
+                    out = self.conditional(self.emit(antecedent), self.emit(consequent))
                 case Not(child):
                     out = self.neg(self.emit(child))
                 case Or(left, right):
                     out = self.join("|", self.emit(left), self.emit(right))
                 case Box(child):
-                    ex, lx = self.emit(child)
-                    if self.literal(ex) is not None:
-                        out = (str(self.full if int(ex) == self.full else 0), 0)
-                    else:
-                        out = self.statement(("[]", ex), lx,
-                                             f"{{v}} = {{top}} if {ex} == {{top}} else 0")
+                    out = self.box(self.emit(child))
                 case MetaAtom(name, _):
                     if name not in self.names:
                         raise ValueError(f"metavariable {name} in a concrete formula")
@@ -319,16 +326,23 @@ class _Codegen:
         self.held.append(f)
         return out
 
-    def function(self, name: str, result: str) -> Callable[..., object]:
-        """``def name(fr)``: the frame's ``modal_tables``, block 0, then one
-        loop over the frame's events per metavariable with block i inside
-        loop i, then ``return result``. The function is returned without
-        the namespace it was executed in, so the two do not form a
-        reference cycle."""
+    def prologue(self, name: str) -> list[str]:
+        """The function's first lines: its signature and the locals its
+        clauses read."""
         lines = [f"def {name}(fr):"]
         if self.full is None:
             lines.append("    full = fr.full")
         lines.append("    bel, cnd = modal_tables(fr)")
+        return lines
+
+    def function(self, name: str, result: str) -> Callable[..., object]:
+        """The ``prologue`` (``def name(fr)`` and the frame's
+        ``modal_tables``), block 0, then one
+        loop over the frame's events per metavariable with block i inside
+        loop i, then ``return result``. The function is returned without
+        the namespace it was executed in, so the two do not form a
+        reference cycle."""
+        lines = self.prologue(name)
         if self.names:
             lines.append(f"    ev = range({self.top} + 1)")
         pad = "    "

@@ -35,19 +35,36 @@ metavariables, and prunes the inner loops with a zero guard. Every modal
 node is a lookup into the frame's ``modal_tables``, which the frame
 builds on the first checker's call and keeps, so all the checkers run
 on one frame share one build and no binding rescans the belief map or
-the selection. Frame properties read the frame's own update rows, so a
-correspondence sweep only picks the checks. ``rule_preserves_validity``
-scans the same bindings through ``denotation``, its metavariables in
-first-occurrence order over the premises, then the conclusion; with no
-premises it is the reference validity scan for a schema. Both paths
-report the same first counterexample (binding in lexicographic scan
-order, then lowest state).
+the selection. ``rule_preserves_validity`` scans the same bindings
+through ``denotation``, its metavariables in first-occurrence order over
+the premises, then the conclusion; with no premises it is the reference
+validity scan for a schema. Both paths report the same first
+counterexample (binding in lexicographic scan order, then lowest state).
+
+A correspondence sweep, ``run_correspondence_suite``, checks its frames
+together. It draws them from ``enumerate_frames`` or ``sample_frame`` in
+order and streams them into chunks (``lanes.lane_chunks``), frame i of a
+chunk being bit i, its "lane", of Python ints. A schema's lane checker,
+``compile_schema_checker`` with ``states`` (emitted by the lane mode of
+``_Codegen``), maps a chunk's lane tables to the int of lanes whose
+frames validate it, in one call per chunk with the same loops, guards
+and zero tests; a property's row predicate runs once per distinct
+(belief, update row) pair while the sweep's memo has room. Counts are
+bit counts. A pair's disagreements are the first 25 set lanes of
+property XOR valid, and the strictness witness is the lowest lane valid
+for ``A_diamond_2`` and not for ``A_star_4``, each frame read back from
+its lane. The lane checkers are compiled by a sweep's first call for its
+state count. The checks of one frame stay per frame:
+``schema_valid_on_frame`` with its first counterexample, and
+``frame.check_property``.
 
 Which property goes with which axiom is not written here.
 ``frame.CONDITIONS`` maps each item to its row predicate, and an item's
 property id is its id with the leading ``A`` replaced by ``P``
 (``frame.property_id``). ``CORRESPONDENCE_PAIRS`` only lists the eight
-axioms the correspondence criteria pin.
+axioms the correspondence criteria pin; the revision items ``A_star_3``
+and ``A_star_8_diamond_9s`` have properties too, and a sweep takes them
+through ``pairs``.
 """
 
 from __future__ import annotations
@@ -59,8 +76,7 @@ from typing import Callable
 
 from .formula import (Formula, _match_and, _match_iff, _match_implies, metavariable_names,
                       parse_schema_text)
-from .frame import (Frame, check_property, enumerate_frames, frame_to_json, property_id,
-                    sample_frame)
+from .frame import Frame, enumerate_frames, frame_to_json, property_id, sample_frame
 from .model import _Codegen, denotation
 
 __all__ = [
@@ -168,17 +184,21 @@ def _flatten_and(f: Formula) -> list[Formula]:
     return _flatten_and(m[0]) + _flatten_and(m[1])
 
 
-def compile_schema_checker(template: Formula) -> Callable[..., tuple[dict, int] | None]:
+def compile_schema_checker(template: Formula, states: int | None = None) -> Callable:
     """Build a specialized validity scanner for one schema template.
 
     The result maps a frame to None (valid) or the first counterexample
     (metavariable binding, state), scanning bindings lexicographically
     in first-occurrence metavariable order with events ascending.
+
+    With ``states`` given it is a lane checker instead (``lanes``): it
+    maps the lane tables of a chunk of frames on that many states
+    (``bel, cnd, lanes`` of a ``lanes.LaneChunk``) to the lanes whose
+    frames validate the template.
     """
     names = metavariable_names(template)
     if not names:
         raise ValueError("schema template has no metavariables")
-    cg = _Codegen(names)
     top = _match_implies(template) if _match_iff(template) is None else None
     if top is not None:
         conjuncts, consequent = _flatten_and(top[0]), top[1]
@@ -189,6 +209,11 @@ def compile_schema_checker(template: Formula) -> Callable[..., tuple[dict, int] 
         ((max((names.index(nm) + 1 for nm in metavariable_names(c)), default=1), i, c)
          for i, c in enumerate(conjuncts)),
         key=lambda t: (t[0], t[1]))
+    if states is not None:
+        from .lanes import lane_checker  # imported on the first sweep (see lanes)
+
+        return lane_checker(names, states, ranked, consequent)
+    cg = _Codegen(names)
     guard, guard_level = "full", 0
     for level, _, conjunct in ranked:
         expr, elevel = cg.emit(conjunct)
@@ -216,12 +241,20 @@ def compile_schema_checker(template: Formula) -> Callable[..., tuple[dict, int] 
 
 
 _COMPILED: dict[str, Callable] = {}
+_COMPILED_LANES: dict[tuple[str, int], Callable] = {}
 
 
 def _compiled_checker(a: str) -> Callable[..., tuple[dict, int] | None]:
     fn = _COMPILED.get(a)
     if fn is None:
         fn = _COMPILED[a] = compile_schema_checker(_info(a).conclusion)
+    return fn
+
+
+def _lane_checker(a: str, n: int) -> Callable[..., int]:
+    fn = _COMPILED_LANES.get((a, n))
+    if fn is None:
+        fn = _COMPILED_LANES[a, n] = compile_schema_checker(_info(a).conclusion, n)
     return fn
 
 
@@ -280,7 +313,8 @@ def run_correspondence_suite(n: int, mode: str = "exhaustive", count: int = 10_0
     counts, the exact number of disagreeing frames with the first
     ``_WITNESS_CAP`` of them as witnesses, and a strictness witness: the
     first frame validating A_diamond_2 but not A_star_4, separating
-    update from revision.
+    update from revision. The frames are checked together, one lane
+    each, a chunk of them per lane-checker call (``lanes``).
     """
     if mode == "exhaustive":
         frames = enumerate_frames(n)
@@ -290,29 +324,34 @@ def run_correspondence_suite(n: int, mode: str = "exhaustive", count: int = 10_0
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    checkers = {p.axiom: _compiled_checker(p.axiom) for p in pairs}
+    from .lanes import lane_chunks  # imported on the first sweep (see lanes)
+
+    properties = list(dict.fromkeys(p.property for p in pairs if p.property is not None))
+    checkers = {p.axiom: _lane_checker(p.axiom, n) for p in pairs}
     stats = {p.axiom: {"property": p.property, "property_count": 0,
                        "axiom_count": 0, "disagreement_count": 0,
                        "disagreements": []} for p in pairs}
     witness = None
     total = 0
-    for fr in frames:
-        total += 1
-        valid_here = {}
+    for chunk in lane_chunks(frames, n, properties):
+        lanes = chunk.lanes
+        valid = {a: check(chunk.bel, chunk.cnd, lanes) for a, check in checkers.items()}
+        holds = {prop: chunk.holds(i) for i, prop in enumerate(properties)}
         for p in pairs:
-            prop = True if p.property is None else check_property(fr, p.property)[0]
-            valid = checkers[p.axiom](fr) is None
-            valid_here[p.axiom] = valid
+            prop = lanes if p.property is None else holds[p.property]
             row = stats[p.axiom]
-            row["property_count"] += prop
-            row["axiom_count"] += valid
-            if prop != valid:
-                row["disagreement_count"] += 1
-                if len(row["disagreements"]) < _WITNESS_CAP:
-                    row["disagreements"].append(frame_to_json(fr))
-        if (witness is None and valid_here.get("A_diamond_2")
-                and valid_here.get("A_star_4") is False):
-            witness = frame_to_json(fr)
+            row["property_count"] += prop.bit_count()
+            row["axiom_count"] += valid[p.axiom].bit_count()
+            odd = prop ^ valid[p.axiom]
+            row["disagreement_count"] += odd.bit_count()
+            while odd and len(row["disagreements"]) < _WITNESS_CAP:
+                row["disagreements"].append(frame_to_json(chunk.frame(_lowest(odd))))
+                odd &= odd - 1
+        if witness is None and "A_diamond_2" in valid and "A_star_4" in valid:
+            split = valid["A_diamond_2"] & ~valid["A_star_4"]
+            if split:
+                witness = frame_to_json(chunk.frame(_lowest(split)))
+        total += chunk.count
 
     disagreements = sum(r["disagreement_count"] for r in stats.values())
     return {
@@ -323,3 +362,7 @@ def run_correspondence_suite(n: int, mode: str = "exhaustive", count: int = 10_0
         "disagreement_count": disagreements,
         "strictness_witness": witness,
     }
+
+
+def _lowest(lanes: int) -> int:
+    return (lanes & -lanes).bit_length() - 1

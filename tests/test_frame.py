@@ -74,9 +74,14 @@ def _set_property_holds(fr: Frame, prop_id: str) -> bool:
     if prop_id == "P_diamond_7s":
         return all(u(s, e | f) <= u(s, e) | u(s, f)
                    for s in range(n) for e in events for f in events)
+    if prop_id == "P_star_3":
+        return all(belief(s) & e <= u(s, e) for s in range(n) for e in events)
     if prop_id == "P_star_4":
         return all(not (belief(s) & e and belief(s) <= (full_set - e) | f) or u(s, e) <= f
                    for s in range(n) for e in all_events for f in all_events)
+    if prop_id == "P_star_8_diamond_9s":
+        return all(not (e & f and u(s, e) & f) or u(s, e & f) <= u(s, e) & f
+                   for s in range(n) for e in events for f in events)
     raise ValueError(prop_id)
 
 

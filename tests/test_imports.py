@@ -86,6 +86,8 @@ _TEST_REFERENCES = {
     "model.model_to_json",
     # KM_IDS's counterpart for the revision logic
     "schema.AGM_IDS",
+    # the acceptance recount imports it
+    "worlds.world_space",
 }
 
 

@@ -328,6 +328,18 @@ def test_proof_suite_checks_mutants_of_a_failed_script_in_full(monkeypatch):
     assert (failures, survivors) == (["bad"], 1)  # only deleting line 2 repairs it
 
 
+def test_proof_suite_reports_a_missing_headline_script(monkeypatch):
+    reg = ProofRegistry()
+    for script in builtin_scripts():
+        if script.id != "A_diamond_6w":
+            reg.register(script)
+    monkeypatch.setattr(cli, "builtin_registry", lambda: reg)
+    monkeypatch.setattr(cli, "builtin_scripts", reg.scripts)
+    report = cli.criterion_proof_suite()
+    assert report["length_errors"] == {"A_diamond_6w": None}
+    assert report["script_failures"] == [] and not report["ok"]
+
+
 def test_proof_suite_checks_each_mutant_from_its_deleted_line(monkeypatch):
     # 139 lines for the 15 originals, and for each mutant the lines from
     # the deleted one up to its first failing line: 171 in all.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.formula import Atom, parse, parse_schema_text
-from artifact import frame as frame_module
+from artifact import frame as frame_module, lanes, schema as schema_module
 from artifact.frame import (CONDITIONS, PROPERTY_IDS, Frame, check_property, enumerate_frames,
                             frame_to_json, modal_tables, property_id, sample_frame)
 from artifact.model import (_KM_POSTULATES, UnvaluedAtomError, compile_conjunctions,
@@ -221,7 +221,7 @@ def test_conditions_table_is_keyed_by_the_items_that_read_it():
     # has to be added here too
     assert PROPERTY_IDS == (
         "P_star_2_diamond_1", "P_diamond_2", "P_star_5b_diamond_3b", "P_star_7_diamond_5",
-        "P_diamond_6w", "P_diamond_7s", "P_star_4")
+        "P_diamond_6w", "P_diamond_7s", "P_star_3", "P_star_4", "P_star_8_diamond_9s")
 
 
 def test_conditions_without_a_predicate_hold_on_every_frame():
@@ -329,6 +329,149 @@ def test_suite_counts_every_disagreement_past_the_witness_cap():
     row = rep["pairs"][pair.axiom]
     assert row["disagreement_count"] == rep["disagreement_count"] == len(disagreeing)
     assert row["disagreements"] == [frame_to_json(fr) for fr in disagreeing[:25]]
+
+
+def test_lane_tables_and_verdicts_match_each_frame():
+    """One chunk per state count: its lane tables are the frames' modal
+    tables side by side, each lane's frame reads back from them, and the
+    lane verdicts of every axiom schema and every property are the
+    per-frame ones."""
+    frames = _table_frames()
+    for n in (2, 3):
+        group = [fr for fr in frames if fr.n == n]
+        (chunk,) = lanes.lane_chunks(iter(group), n, PROPERTY_IDS)
+        assert chunk.count == len(group)
+        for lane, fr in enumerate(group):
+            assert chunk.frame(lane) == fr
+            bel, cnd = modal_tables(fr)
+            for x in range(fr.full + 1):
+                assert [chunk.bel[x][s] >> lane & 1 for s in range(n)] == \
+                    [bel[x] >> s & 1 for s in range(n)], (fr, x)
+                for e in range(fr.full + 1):
+                    assert [chunk.cnd[e][x][s] >> lane & 1 for s in range(n)] == \
+                        [cnd[e][x] >> s & 1 for s in range(n)], (fr, e, x)
+        for a in SCHEMA_IDS:
+            valid = compile_schema_checker(REGISTRY[a].conclusion, n)(
+                chunk.bel, chunk.cnd, chunk.lanes)
+            assert [valid >> lane & 1 for lane in range(len(group))] == \
+                [schema_valid_on_frame(fr, a)[0] for fr in group], a
+        for i, prop in enumerate(PROPERTY_IDS):
+            holds = chunk.holds(i)
+            assert [holds >> lane & 1 for lane in range(len(group))] == \
+                [check_property(fr, prop)[0] for fr in group], prop
+
+
+def test_lane_mode_refuses_a_modal_conditional_argument():
+    for text in ("(B PHI > PSI) -> PHI", "B(PHI > (PSI > CHI))", "(PHI > []B PSI)"):
+        template = parse_schema_text(text)
+        compile_schema_checker(template)  # one frame at a time, it is fine
+        with pytest.raises(ValueError, match="Boolean arguments of a conditional"):
+            compile_schema_checker(template, 2)
+
+
+def _per_frame_report(n, mode, frames, pairs, count=None, seed=None):
+    """The correspondence report from one check per frame and pair, with
+    the per-frame checker and ``check_property``: the reference the lane
+    sweep is held to."""
+    stats = {p.axiom: {"property": p.property, "property_count": 0, "axiom_count": 0,
+                       "disagreement_count": 0, "disagreements": []} for p in pairs}
+    witness, total = None, 0
+    for fr in frames:
+        total += 1
+        valid_here = {}
+        for p in pairs:
+            prop = True if p.property is None else check_property(fr, p.property)[0]
+            valid = valid_here[p.axiom] = schema_valid_on_frame(fr, p.axiom)[0]
+            row = stats[p.axiom]
+            row["property_count"] += prop
+            row["axiom_count"] += valid
+            if prop != valid:
+                row["disagreement_count"] += 1
+                if len(row["disagreements"]) < 25:
+                    row["disagreements"].append(frame_to_json(fr))
+        if (witness is None and valid_here.get("A_diamond_2")
+                and valid_here.get("A_star_4") is False):
+            witness = frame_to_json(fr)
+    return {"states": n,
+            "mode": mode if mode == "exhaustive" else {"sampled": {"count": count, "seed": seed}},
+            "frames": total, "pairs": stats,
+            "disagreement_count": sum(r["disagreement_count"] for r in stats.values()),
+            "strictness_witness": witness}
+
+
+MISMATCHED = (CorrespondencePair("A_star_4", "P_diamond_2"),
+              CorrespondencePair("A_diamond_2", None),
+              CorrespondencePair("A_diamond_7s", "P_star_7_diamond_5"))
+
+
+@pytest.mark.parametrize("chunk_bytes,memo_cells", [(lanes._CHUNK_BYTES, lanes._MEMO_CELLS),
+                                                    (1, 8)])
+def test_lane_sweep_reports_what_a_per_frame_sweep_reports(monkeypatch, chunk_bytes,
+                                                           memo_cells):
+    # the second case packs 64 frames a chunk and memoizes a row or two, so
+    # counts, witnesses and the disagreement cap cross chunk boundaries
+    monkeypatch.setattr(lanes, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(lanes, "_MEMO_CELLS", memo_cells)
+    assert run_correspondence_suite(1, "exhaustive") == _per_frame_report(
+        1, "exhaustive", enumerate_frames(1), CORRESPONDENCE_PAIRS)
+    assert run_correspondence_suite(3, "sampled", count=0) == _per_frame_report(
+        3, "sampled", [], CORRESPONDENCE_PAIRS, 0, 0)
+    for n, count, pairs in ((2, 300, MISMATCHED + CORRESPONDENCE_PAIRS[:2]),
+                            (3, 200, CORRESPONDENCE_PAIRS + MISMATCHED[:1])):
+        rng = random.Random(n)
+        frames = [sample_frame(n, rng) for _ in range(count)]
+        assert run_correspondence_suite(n, "sampled", count=count, seed=n, pairs=pairs) == \
+            _per_frame_report(n, "sampled", frames, pairs, count, n)
+
+
+def test_sweep_runs_each_predicate_once_per_distinct_row(monkeypatch):
+    """At most once per distinct (belief, update row) pair, 192 at two
+    states, and never more often than the per-frame checks run it."""
+    calls = {}
+
+    def counted(prop, condition):
+        def run(r, b, full):
+            calls[prop] = calls.get(prop, 0) + 1
+            return condition(r, b, full)
+        return run
+
+    spies = {prop: counted(prop, c) for prop, c in lanes._PROPERTIES.items()}
+    monkeypatch.setattr(lanes, "_PROPERTIES", spies)
+    run_correspondence_suite(2, "exhaustive")
+    assert set(calls) == set(PROPERTY_IDS) - {"P_star_3", "P_star_8_diamond_9s"}
+    assert max(calls.values()) <= 192
+    calls.clear()
+    run_correspondence_suite(3, "sampled", count=300, seed=1)
+    swept = dict(calls)
+    calls.clear()
+    monkeypatch.setattr(frame_module, "_PROPERTIES", spies)
+    rng = random.Random(1)
+    for _ in range(300):
+        fr = sample_frame(3, rng)
+        for p in CORRESPONDENCE_PAIRS[1:]:
+            check_property(fr, p.property)
+    assert all(swept[prop] <= calls[prop] for prop in calls), (swept, calls)
+
+
+def test_lane_checkers_compile_on_the_first_sweep_only(monkeypatch):
+    compiled = {}
+    monkeypatch.setattr(schema_module, "_COMPILED_LANES", compiled)
+    for a in SCHEMA_IDS:
+        schema_valid_on_frame(GAPPY, a)
+    assert compiled == {}
+    run_correspondence_suite(2, "sampled", count=3)
+    assert set(compiled) == {(p.axiom, 2) for p in CORRESPONDENCE_PAIRS}
+
+
+def test_revision_items_match_their_conditions_on_every_two_state_frame():
+    pairs = tuple(CorrespondencePair(a, property_id(a))
+                  for a in ("A_star_3", "A_star_8_diamond_9s"))
+    report = run_correspondence_suite(2, "exhaustive", pairs=pairs)
+    assert report["frames"] == 36_864 and report["disagreement_count"] == 0
+    assert {a: (row["property"], row["property_count"], row["axiom_count"])
+            for a, row in report["pairs"].items()} == {
+        "A_star_3": ("P_star_3", 6160, 6160),
+        "A_star_8_diamond_9s": ("P_star_8_diamond_9s", 6255, 6255)}
 
 
 def test_compile_rejects_concrete_atoms_and_empty_templates():
