@@ -289,9 +289,11 @@ def run_worlds_report(atoms: int, mode: str, count: int, seed: int,
     space = WorldSpace(atoms)
     if mode == "exhaustive":
         families = enumerate_families(space)
-    else:
+    elif mode == "sampled":
         families = (generate_family(space, seed=seed + i, constraint=constraint)
                     for i in range(count))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     if lemma == "both":
         checkers = _LEMMA_CHECKERS
     elif lemma in ("k7s", "k9s"):

@@ -1,4 +1,5 @@
-"""Sweeps over many frames at once: lane tables and lane checkers.
+"""Sweeps over many frames at once: lane tables and the lane mode of the
+code generator.
 
 A correspondence sweep asks the same questions of every frame, so it
 asks them of all its frames together. The sweep's frames come in chunks,
@@ -14,11 +15,14 @@ lanes: each runs once per distinct (belief, update row) pair on a state,
 and the chunk records, for each set of properties, the lanes whose
 frames fail exactly that set.
 
-``lane_checker`` is the lane form of ``schema.compile_schema_checker``'s
-scan, emitted by ``_LaneCodegen``, the lane mode of ``model._Codegen``.
-Boolean subformulas stay state masks, every other node has one lane int
-per state, and each binding clears the lanes it refutes from one int of
-valid lanes. A chunk's validity for a schema is one call.
+``_LaneCodegen`` is the lane mode of ``model._Codegen``. A schema's lane
+checker is ``schema.compile_schema_checker`` with ``states``: the same
+scan as a per-frame checker, with the same loops, guards and zero
+tests, emitted by this mode, which differs only in its clauses and in
+the scan's hooks (``bind``, ``some``, ``refute``). Boolean subformulas
+stay state masks, every other node has one lane int per state, and each
+binding clears the lanes it refutes from one int of valid lanes. A
+chunk's validity for a schema is one call.
 
 ``schema`` imports this module on its first sweep, so a process that
 never sweeps does not compile it.
@@ -28,12 +32,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 from .frame import _PROPERTIES, Frame
 from .model import _Codegen
 
-__all__ = ["LaneChunk", "lane_chunks", "lane_checker"]
+__all__ = ["LaneChunk", "lane_chunks"]
 
 # bytes of lane buffers a chunk fills, n (2^n)^2 buffers of one width:
 # 16,384 frames a chunk at 2 states, 2,728 at 3, 512 at 4
@@ -178,12 +181,17 @@ class _LaneCodegen(_Codegen):
     believed at s" | Y[t]), the first operand read from ``bel`` once per
     call as ``nb_s_t``; [] over it is the AND of Y over the states. A
     conditional needs Boolean arguments: one whose argument is a lane
-    vector is refused with ValueError."""
+    vector is refused with ValueError. The scan it is driven through
+    keeps ``valid``, the lanes no binding has refuted yet, and returns
+    it."""
+
+    scan = ("_lanes", "valid")
 
     def __init__(self, names: tuple[str, ...], n: int):
         super().__init__(names, full=(1 << n) - 1)
         self.n = n
         self.flipped: dict[str, str] = {}  # a complement's text -> what it complements
+        self.add(0, "valid = lanes")
 
     def vector(self, key: tuple[str, ...], level: int, text: str) -> tuple[tuple[str, ...], int]:
         """A lane-vector statement: n locals, set by ``text`` with ``{v}``
@@ -197,16 +205,12 @@ class _LaneCodegen(_Codegen):
         return got
 
     def bind(self, level: int, x) -> tuple:
-        """``x`` with every compound expression set into a new local at
-        ``level``, so that reading it again costs no operation."""
         ex, lx = x
-        parts = (ex,) if isinstance(ex, str) else ex
-        if all(p.isidentifier() or p.isdigit() for p in parts):
+        if isinstance(ex, str):
+            return super().bind(level, x)
+        if all(p.isidentifier() or p.isdigit() for p in ex):
             return x
         v = self.fresh()
-        if isinstance(ex, str):
-            self.add(level, f"{v} = {ex}")
-            return v, lx
         for s, p in enumerate(ex):
             self.add(level, f"{v}_{s} = {p}")
         return tuple(f"{v}_{s}" for s in range(self.n)), lx
@@ -216,6 +220,19 @@ class _LaneCodegen(_Codegen):
         of some lane still ``valid``."""
         ex = x[0]
         return ex if isinstance(ex, str) else f"({' | '.join(ex)}) & valid"
+
+    def refute(self, x) -> None:
+        """Clear from ``valid`` the lanes on which the binding is refuted
+        at some state of ``x``, and return 0 once no lane is left."""
+        bad, bottom = x[0], len(self.names)
+        if isinstance(bad, str):  # the same states fail on every lane
+            self.add(bottom, f"if {bad}:\n    return 0")
+        else:
+            self.add(bottom, (f"_bad = {' | '.join(bad)}\n"
+                              f"if _bad:\n"
+                              f"    valid &= ~_bad\n"
+                              f"    if not valid:\n"
+                              f"        return 0"))
 
     def neg(self, x):
         ex, lx = x
@@ -298,33 +315,3 @@ class _LaneCodegen(_Codegen):
         return [f"def {name}(bel, cnd, lanes):"] + [
             f"    nb_{s}_{t} = bel[{full ^ 1 << t}][{s}]"
             for s in range(self.n) for t in range(self.n)]
-
-
-def lane_checker(names: tuple[str, ...], n: int, ranked, consequent) -> Callable[..., int]:
-    """The lane checker of a schema on n states, from the parts
-    ``schema.compile_schema_checker`` splits it into: its metavariable
-    ``names``, its antecedent conjuncts ``ranked`` as (loop level, index,
-    conjunct) and its ``consequent``. It has the per-frame checker's
-    guards and zero tests, over lane vectors, and maps ``bel, cnd,
-    lanes`` of a ``LaneChunk`` to the lanes whose frames validate the
-    schema, clearing from ``valid`` the lanes each binding refutes; it
-    returns 0 once no lane is left."""
-    cg = _LaneCodegen(names, n)
-    cg.add(0, "valid = lanes")
-    guard = (cg.top, 0)
-    for level, _, conjunct in ranked:
-        x = cg.emit(conjunct)
-        level = max(level, x[1], 1)
-        guard = cg.bind(level, cg.join("&", guard, x))
-        cg.add(level, f"if not {cg.some(guard)}: continue")
-    bad, _ = cg.join("&", guard, cg.neg(cg.emit(consequent)))
-    bottom = len(cg.names)
-    if isinstance(bad, str):  # the same states fail on every lane
-        cg.add(bottom, f"if {bad}:\n    return 0")
-    else:
-        cg.add(bottom, (f"_bad = {' | '.join(bad)}\n"
-                        f"if _bad:\n"
-                        f"    valid &= ~_bad\n"
-                        f"    if not valid:\n"
-                        f"        return 0"))
-    return cg.function("_lanes", "valid")

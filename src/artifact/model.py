@@ -17,9 +17,10 @@ clauses as lookups into the frame's ``modal_tables`` (B a is
 function scans the belief map or the selection; the frame builds the
 tables on the first function's call and keeps them for the rest. Every
 compiler builds on it: ``schema.compile_schema_checker`` for whole-frame
-schema validity scans (and, through the lane mode ``lanes._LaneCodegen``,
-which overrides its Boolean and modal clauses, for the scans of many
-frames at once), and ``compile_conjunctions`` for concrete
+schema validity scans, through the hooks ``bind``, ``some`` and
+``refute`` (and, through the lane mode ``lanes._LaneCodegen``, which
+overrides its Boolean and modal clauses and those hooks, for the scans
+of many frames at once), and ``compile_conjunctions`` for concrete
 formulas under a fixed valuation and state count. The latter knows the
 universe at compile time, so ``_Codegen`` writes it as a literal and
 folds every node whose value no longer depends on the frame; a
@@ -196,7 +197,13 @@ class _Codegen:
     [] node over literals, a conditional with an empty antecedent) is
     folded into one literal; the compiler folds what arithmetic on
     literals is left in the statements. Boolean nodes also drop
-    operands that cannot change their value (see ``join``)."""
+    operands that cannot change their value (see ``join``).
+
+    ``bind``, ``some`` and ``refute`` are the hooks through which
+    ``schema.compile_schema_checker`` drives a scan, and ``scan`` names
+    the scan's function and what it returns when no binding refutes."""
+
+    scan = ("_check", "None")
 
     def __init__(self, names: tuple[str, ...], valuation: Mapping[str, int] | None = None,
                  full: int | None = None):
@@ -325,6 +332,32 @@ class _Codegen:
         self.memo[id(f)] = out
         self.held.append(f)
         return out
+
+    def bind(self, level: int, x: tuple[str, int]) -> tuple[str, int]:
+        """``x`` with a compound expression set into a new local at
+        ``level``, so that reading it again costs no operation."""
+        ex, lx = x
+        if ex.isidentifier() or ex.isdigit():
+            return x
+        v = self.fresh()
+        self.add(level, f"{v} = {ex}")
+        return v, lx
+
+    def some(self, x: tuple[str, int]) -> str:
+        """An expression that is non-zero where ``x`` holds at some state."""
+        return x[0]
+
+    def refute(self, x: tuple[str, int]) -> None:
+        """The scan's innermost statement: where ``x``, the states the
+        binding refutes, is not empty, return the binding and the lowest
+        of them."""
+        binding = ", ".join(f"'{nm}': e_{i}" for i, nm in enumerate(self.names))
+        self.add(len(self.names), (f"_bad = {x[0]}\n"
+                                   f"if _bad:\n"
+                                   f"    _s = 0\n"
+                                   f"    while not _bad >> _s & 1:\n"
+                                   f"        _s += 1\n"
+                                   f"    return {{{binding}}}, _s"))
 
     def prologue(self, name: str) -> list[str]:
         """The function's first lines: its signature and the locals its

@@ -27,11 +27,14 @@ valid. Validity of any registry item, axiom or rule, is one call:
 
 The truth clauses themselves live in ``model``: the reference evaluator
 ``denotation`` and the code generator ``_Codegen``. This module only
-drives them. ``compile_schema_checker`` has ``_Codegen`` emit the
-template's clauses inside one loop per metavariable, ordered by first
-occurrence in the template (``formula.metavariable_names``), hoists
-antecedent conjuncts to the outermost loop that binds their
-metavariables, and prunes the inner loops with a zero guard. Every modal
+drives them. ``compile_schema_checker`` is the one scan driver: it has
+``_Codegen`` emit the template's clauses inside one loop per
+metavariable, ordered by first occurrence in the template
+(``formula.metavariable_names``), hoists antecedent conjuncts to the
+outermost loop that binds their metavariables, and prunes the inner
+loops with a zero guard. The generator's hooks ``bind``, ``some`` and
+``refute`` say how a guard is kept, tested and turned into a verdict, so
+the same driver emits the lane checkers through the lane mode. Every modal
 node is a lookup into the frame's ``modal_tables``, which the frame
 builds on the first checker's call and keeps, so all the checkers run
 on one frame share one build and no binding rescans the belief map or
@@ -45,16 +48,18 @@ A correspondence sweep, ``run_correspondence_suite``, checks its frames
 together. It draws them from ``enumerate_frames`` or ``sample_frame`` in
 order and streams them into chunks (``lanes.lane_chunks``), frame i of a
 chunk being bit i, its "lane", of Python ints. A schema's lane checker,
-``compile_schema_checker`` with ``states`` (emitted by the lane mode of
-``_Codegen``), maps a chunk's lane tables to the int of lanes whose
-frames validate it, in one call per chunk with the same loops, guards
-and zero tests; a property's row predicate runs once per distinct
+``compile_schema_checker`` with ``states`` (driving ``lanes._LaneCodegen``,
+the lane mode of ``_Codegen``), maps a chunk's lane tables to the int of
+lanes whose frames validate it, in one call per chunk with the same
+loops, guards and zero tests; a property's row predicate runs once per distinct
 (belief, update row) pair while the sweep's memo has room. Counts are
 bit counts. A pair's disagreements are the first 25 set lanes of
 property XOR valid, and the strictness witness is the lowest lane valid
 for ``A_diamond_2`` and not for ``A_star_4``, each frame read back from
-its lane. The lane checkers are compiled by a sweep's first call for its
-state count. The checks of one frame stay per frame:
+its lane. Checkers are compiled on first use and kept by (item, state
+count), the count None for a per-frame checker, so the lane checkers are
+compiled by a sweep's first call for its state count. The checks of one
+frame stay per frame:
 ``schema_valid_on_frame`` with its first counterexample, and
 ``frame.check_property``.
 
@@ -167,13 +172,6 @@ def _info(a: str) -> AxiomInfo:
         raise ValueError(f"unknown axiom id {a!r}") from None
 
 
-def _first_false_state(mask: int, n: int) -> int:
-    for s in range(n):
-        if not mask >> s & 1:
-            return s
-    raise AssertionError("mask is full")
-
-
 # ---------------------------------------------------------------------------
 # compiled whole-frame checker
 
@@ -205,56 +203,32 @@ def compile_schema_checker(template: Formula, states: int | None = None) -> Call
     else:
         conjuncts, consequent = [], template
 
-    ranked = sorted(
-        ((max((names.index(nm) + 1 for nm in metavariable_names(c)), default=1), i, c)
-         for i, c in enumerate(conjuncts)),
-        key=lambda t: (t[0], t[1]))
-    if states is not None:
-        from .lanes import lane_checker  # imported on the first sweep (see lanes)
+    ranked = sorted((max((names.index(nm) + 1 for nm in metavariable_names(c)), default=1), i, c)
+                    for i, c in enumerate(conjuncts))
+    if states is None:
+        cg = _Codegen(names)
+    else:
+        from .lanes import _LaneCodegen  # imported on the first sweep (see lanes)
 
-        return lane_checker(names, states, ranked, consequent)
-    cg = _Codegen(names)
-    guard, guard_level = "full", 0
+        cg = _LaneCodegen(names, states)
+    guard = (cg.top, 0)
     for level, _, conjunct in ranked:
-        expr, elevel = cg.emit(conjunct)
-        level = max(level, elevel, 1)
-        if level > guard_level:
-            nxt = cg.fresh()
-            cg.add(level, f"{nxt} = {guard} & {expr}")
-            guard, guard_level = nxt, level
-        else:
-            cg.add(guard_level, f"{guard} &= {expr}")
-        cg.add(guard_level, f"if not {guard}: continue")
-
-    cons_expr, cons_level = cg.emit(consequent)
-    bottom = len(names)
-    binding_src = ", ".join(f"'{nm}': e_{i}" for i, nm in enumerate(names))
-    cg.add(bottom, (
-        f"_bad = {guard} & (full ^ {cons_expr})\n"
-        f"if _bad:\n"
-        f"    _s = 0\n"
-        f"    while not _bad >> _s & 1:\n"
-        f"        _s += 1\n"
-        f"    return {{{binding_src}}}, _s"))
-
-    return cg.function("_check", "None")
+        x = cg.emit(conjunct)
+        level = max(level, x[1], 1)
+        guard = cg.bind(level, cg.join("&", guard, x))
+        cg.add(level, f"if not {cg.some(guard)}: continue")
+    cg.refute(cg.join("&", guard, cg.neg(cg.emit(consequent))))
+    return cg.function(*cg.scan)
 
 
-_COMPILED: dict[str, Callable] = {}
-_COMPILED_LANES: dict[tuple[str, int], Callable] = {}
+# compiled checkers by (item, states), states None for a per-frame checker
+_COMPILED: dict[tuple[str, int | None], Callable] = {}
 
 
-def _compiled_checker(a: str) -> Callable[..., tuple[dict, int] | None]:
-    fn = _COMPILED.get(a)
+def _checker(a: str, states: int | None = None) -> Callable:
+    fn = _COMPILED.get((a, states))
     if fn is None:
-        fn = _COMPILED[a] = compile_schema_checker(_info(a).conclusion)
-    return fn
-
-
-def _lane_checker(a: str, n: int) -> Callable[..., int]:
-    fn = _COMPILED_LANES.get((a, n))
-    if fn is None:
-        fn = _COMPILED_LANES[a, n] = compile_schema_checker(_info(a).conclusion, n)
+        fn = _COMPILED[a, states] = compile_schema_checker(_info(a).conclusion, states)
     return fn
 
 
@@ -266,7 +240,7 @@ def schema_valid_on_frame(fr: Frame, a: str):
     info = _info(a)
     if info.premises:
         return rule_preserves_validity(fr, info.premises, info.conclusion)
-    cex = _compiled_checker(a)(fr)
+    cex = _checker(a)(fr)
     return (cex is None), cex
 
 
@@ -281,7 +255,7 @@ def rule_preserves_validity(fr: Frame, premises, conclusion):
         if all(denotation(fr, p, binding) == full for p in premises):
             mask = denotation(fr, conclusion, binding)
             if mask != full:
-                return False, (binding, _first_false_state(mask, fr.n))
+                return False, (binding, _lowest(full & ~mask))
     return True, None
 
 
@@ -327,7 +301,7 @@ def run_correspondence_suite(n: int, mode: str = "exhaustive", count: int = 10_0
     from .lanes import lane_chunks  # imported on the first sweep (see lanes)
 
     properties = list(dict.fromkeys(p.property for p in pairs if p.property is not None))
-    checkers = {p.axiom: _lane_checker(p.axiom, n) for p in pairs}
+    checkers = {p.axiom: _checker(p.axiom, n) for p in pairs}
     stats = {p.axiom: {"property": p.property, "property_count": 0,
                        "axiom_count": 0, "disagreement_count": 0,
                        "disagreements": []} for p in pairs}

@@ -42,8 +42,8 @@ memory at three atoms, where rows have 256 cells and rarely repeat.
 Each checker walks the world rows, then the lifted rows, in one plain
 loop that looks each row up in the memo itself: the lifting-lemma
 criterion makes 10,192 checker calls, so no closure or generator is
-built per call. ``audit_k9``, which has no memo, scans with
-``_first_violation``.
+built per call. ``audit_k9``, which has no memo, is the family's
+``frame.check_property`` for conditional expansion.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from itertools import product
 from operator import or_
 
 from .frame import (
-    Frame, FrameFormatError, disjunction, expansion, frame_from_json,
+    Frame, FrameFormatError, check_property, disjunction, expansion, frame_from_json,
 )
 
 __all__ = [
@@ -112,25 +112,12 @@ def lift_update(fam: Frame, belief: int, event: int) -> int:
 # ---------------------------------------------------------------------------
 # per-world hypothesis audits and lifted lemmas
 
-def _first_violation(condition, rows, full: int):
-    """First (index, E, F) over (index, belief, row) triples whose row
-    violates the condition, or None."""
-    for index, belief, row in rows:
-        cex = condition(row, belief, full)
-        if cex is not None:
-            return (index, *cex)
-    return None
-
-
-def _world_rows(fam: Frame):
-    return zip(range(fam.n), fam.belief, fam.rows)
-
-
 def audit_k9(fam: Frame):
     """First violation of the per-world conditional-expansion bound:
     when E&F is non-empty and u(w,E)&F is non-empty, u(w, E&F) must be
-    contained in u(w,E)&F. Returns (w, E, F) or None."""
-    return _first_violation(expansion, _world_rows(fam), fam.full)
+    contained in u(w,E)&F. Returns (w, E, F) or None: the family's
+    ``P_star_8_diamond_9s`` check, whose predicate is expansion."""
+    return check_property(fam, "P_star_8_diamond_9s")[1]
 
 
 @dataclass(frozen=True)

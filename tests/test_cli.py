@@ -517,6 +517,11 @@ def test_worlds_check_union_constraint_clean(capsys):
     assert row["hypothesis_families"] > 0 and row["violations"] == 0
 
 
+def test_worlds_report_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'exhustive'"):
+        cli.run_worlds_report(1, "exhustive", 3, 0, "none")
+
+
 def test_prove_check_builtin(capsys):
     assert main(["prove-check", "builtin:A_diamond_2", "--logic", "AGM"]) == 0
     out = capsys.readouterr().out

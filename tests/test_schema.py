@@ -108,9 +108,10 @@ def test_compiled_matches_generic_on_two_state_stride():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6), pick=st.integers(0, len(SCHEMA_IDS) - 1))
-def test_compiled_matches_generic_on_sampled_three_state(seed, pick):
-    fr = sample_frame(3, random.Random(seed))
+@given(seed=st.integers(0, 10**6), pick=st.integers(0, len(SCHEMA_IDS) - 1),
+       n=st.integers(1, 4))
+def test_compiled_matches_generic_on_sampled_three_state(seed, pick, n):
+    fr = sample_frame(n, random.Random(seed))
     a = SCHEMA_IDS[pick]
     tpl = REGISTRY[a].conclusion
     assert schema_valid_on_frame(fr, a) == rule_preserves_validity(fr, (), tpl)
@@ -455,10 +456,11 @@ def test_sweep_runs_each_predicate_once_per_distinct_row(monkeypatch):
 
 def test_lane_checkers_compile_on_the_first_sweep_only(monkeypatch):
     compiled = {}
-    monkeypatch.setattr(schema_module, "_COMPILED_LANES", compiled)
+    monkeypatch.setattr(schema_module, "_COMPILED", compiled)
     for a in SCHEMA_IDS:
         schema_valid_on_frame(GAPPY, a)
-    assert compiled == {}
+    assert set(compiled) == {(a, None) for a in SCHEMA_IDS}
+    compiled.clear()
     run_correspondence_suite(2, "sampled", count=3)
     assert set(compiled) == {(p.axiom, 2) for p in CORRESPONDENCE_PAIRS}
 
