@@ -431,40 +431,68 @@ def criterion_correspondence_sampled(seed: int) -> dict:
 _SEPARATING = ({"p": 0b01}, {"p": 0b10})
 
 
+def _event_verdicts(fr, s: int, verdicts: dict) -> tuple[bool, ...]:
+    """``check_km_axiom``'s verdict on each postulate at state s of ``fr``,
+    decided once per distinct (belief, update row) pair: the postulates
+    read nothing else of a frame with a given state count, and
+    ``verdicts`` holds the pairs seen so far."""
+    key = (fr.belief[s], fr.rows[s])
+    got = verdicts.get(key)
+    if got is None:
+        got = verdicts[key] = tuple(check_km_axiom(fr, s, a)[0] for a in KM_AXIOM_IDS)
+    return got
+
+
 def criterion_formula_bridge() -> dict:
     """Event-level postulate checks must agree with the formula level, the
     registry's L_KM items instantiated with characteristic formulas, on
     every two-state frame, for both separating one-atom valuations.
 
     Each valuation's instances compile to one function that returns, for
-    every postulate, the states where all of its instances hold; both
-    functions read the frame's one build of its modal tables, and the
-    event level reads its update rows. The first valuation's instance
-    table also serves the spot checks through the per-model evaluator,
-    on every 1,024th frame: the only frames made into models."""
+    every postulate, the states where all of its instances hold. Equal
+    sources are compiled once, and the two valuations emit the same one,
+    so one function runs per frame and reads the frame's modal tables.
+    The event level is decided once per distinct (belief, update row)
+    pair, and a frame's verdicts make the mask tuple every function must
+    return, so a frame that agrees costs one comparison; only a frame
+    that does not goes through every (postulate, state, valuation) in
+    turn for its records. ``checked`` counts all of those comparisons
+    either way.
+
+    The first valuation's instance table also serves the spot checks
+    through the per-model evaluator, on every 1,024th frame: the only
+    frames made into models. Every memo here lives for one call."""
     tables = [km_formula_instances(2, valuation) for valuation in _SEPARATING]
-    compiled = [compile_conjunctions([table[a] for a in KM_AXIOM_IDS], valuation, 2)
-                for table, valuation in zip(tables, _SEPARATING)]
+    sources: dict = {}
+    runs = [compile_conjunctions([table[a] for a in KM_AXIOM_IDS], valuation, 2, sources)
+            for table, valuation in zip(tables, _SEPARATING)]
+    per_frame = len(KM_AXIOM_IDS) * 2 * len(runs)
+    verdicts: dict = {}  # (belief, update row) -> event-level verdicts
+    wanted: dict = {}  # verdicts at states 0 and 1 -> the masks they make
     checked = 0
     disagreements = []
     spot_checks = 0
     for index, fr in enumerate(enumerate_frames(2)):
-        masks = [run(fr) for run in compiled]
-        for i, a in enumerate(KM_AXIOM_IDS):
-            for s in (0, 1):
-                event_level = check_km_axiom(fr, s, a)[0]
-                for mask in masks:
-                    checked += 1
-                    if (mask[i] >> s & 1) != event_level and len(disagreements) < 10:
-                        disagreements.append(
-                            {"frame": frame_to_json(fr), "axiom": a, "state": s})
+        states = (_event_verdicts(fr, 0, verdicts), _event_verdicts(fr, 1, verdicts))
+        want = wanted.get(states)
+        if want is None:
+            want = wanted[states] = tuple(v0 | v1 << 1 for v0, v1 in zip(*states))
+        got = {run: run(fr) for run in sources.values()}
+        checked += per_frame
+        if any(masks != want for masks in got.values()):
+            for i, a in enumerate(KM_AXIOM_IDS):
+                for s in (0, 1):
+                    for run in runs:
+                        if (got[run][i] >> s & 1) != states[s][i] and len(disagreements) < 10:
+                            disagreements.append(
+                                {"frame": frame_to_json(fr), "axiom": a, "state": s})
         if index % 1024 == 0:
             # tie the per-model formula evaluator itself into the sweep
             m = make_model(fr, _SEPARATING[0])
-            for a in KM_AXIOM_IDS:
+            for i, a in enumerate(KM_AXIOM_IDS):
                 via = check_km_axiom_via_formulas(m, 0, a, tables[0])
                 spot_checks += 1
-                if via != check_km_axiom(fr, 0, a)[0]:
+                if via != states[0][i]:
                     disagreements.append(
                         {"frame": frame_to_json(fr), "axiom": a, "state": 0,
                          "path": "check_km_axiom_via_formulas"})

@@ -29,7 +29,8 @@ once per distinct operand text, so ``compile_conjunctions``, which
 compiles groups of formulas into one function returning each group's
 intersection of truth sets, looks up each distinct conditional and
 belief only once per frame: the event/formula bridge compiles one such
-function per valuation for all of a postulate table's instances.
+function for all of a postulate table's instances, and one for both of
+its valuations, whose sources are the same.
 
 The belief-change reading: psi belongs to the changed belief set at s
 after input phi iff the frame's update U(s, den(phi)),
@@ -69,7 +70,6 @@ from .formula import (
     _match_and,
     _match_iff,
     _match_implies,
-    _substitute,
 )
 from .frame import (CONDITIONS, Frame, FrameFormatError, bits, frame_from_json, frame_to_json,
                     indices_from_mask, mask_from_indices, modal_tables)
@@ -118,46 +118,57 @@ def make_model(frame: Frame, valuation: Mapping[str, int]) -> Model:
 # ---------------------------------------------------------------------------
 # truth
 
-def denotation(fr: Frame, f: Formula, env: Mapping[str, int]) -> int:
+def denotation(fr: Frame, f: Formula, env: Mapping[str, int], memo: dict | None = None) -> int:
     """The event {s : s satisfies f}, computed bottom-up, with atoms and
     metavariables denoting the events ``env`` gives them. Atom names are
     lowercase and metavariable names uppercase, so one mapping serves a
-    model's valuation and a schema's binding alike."""
+    model's valuation and a schema's binding alike.
+
+    Each subformula is evaluated once: ``memo`` maps the identity of each
+    node evaluated to its event. Calls on the same frame and mapping that
+    are given one ``memo`` share their subformulas; the caller keeps the
+    formulas alive while the memo is in use, so no identity is reused."""
+    if memo is None:
+        memo = {}
+    out = memo.get(id(f))
+    if out is not None:
+        return out
     full = fr.full
     match f:
         case Atom(name) | MetaAtom(name, _):
-            e = env.get(name)
-            if e is None:
+            out = env.get(name)
+            if out is None:
                 if isinstance(f, MetaAtom):
                     raise ValueError(f"metavariable {name} in a concrete formula")
                 raise UnvaluedAtomError(f"atom {name!r} has no value in this model")
-            if e & ~full:
+            if out & ~full:
                 raise ValueError(f"event for {name} out of the frame's universe")
-            return e
         case Not(child):
-            return full & ~denotation(fr, child, env)
+            out = full & ~denotation(fr, child, env, memo)
         case Or(left, right):
-            return denotation(fr, left, env) | denotation(fr, right, env)
+            out = denotation(fr, left, env, memo) | denotation(fr, right, env, memo)
         case Box(child):
-            return full if denotation(fr, child, env) == full else 0
+            out = full if denotation(fr, child, env, memo) == full else 0
         case Believes(child):
-            e = denotation(fr, child, env)
+            e = denotation(fr, child, env, memo)
             out = 0
             for s in range(fr.n):
                 if fr.belief[s] & ~e == 0:
                     out |= 1 << s
-            return out
         case Cond(antecedent, consequent):
-            ea = denotation(fr, antecedent, env)
+            ea = denotation(fr, antecedent, env, memo)
             if ea == 0:
-                return full  # vacuous case: contradictory antecedent
-            eb = denotation(fr, consequent, env)
-            out = 0
-            for s in range(fr.n):
-                if fr.selection[s][ea - 1] & ~eb == 0:
-                    out |= 1 << s
-            return out
-    raise TypeError(f"not a formula node: {f!r}")
+                out = full  # vacuous case: contradictory antecedent
+            else:
+                eb = denotation(fr, consequent, env, memo)
+                out = 0
+                for s in range(fr.n):
+                    if fr.selection[s][ea - 1] & ~eb == 0:
+                        out |= 1 << s
+        case _:
+            raise TypeError(f"not a formula node: {f!r}")
+    memo[id(f)] = out
+    return out
 
 
 def truth_set(m: Model, f: Formula) -> int:
@@ -299,36 +310,38 @@ class _Codegen:
         got = self.memo.get(id(f))
         if got is not None:
             return got
-        # only negations and disjunctions can be sugar
+        # one exact-class test per node kind, modal nodes first, the most
+        # frequent here; only negations and disjunctions can be sugar
         t = type(f)
-        if t is Not and (m := _match_iff(f)) is not None:
-            out = self.iff(self.emit(m[0]), self.emit(m[1]))
-        elif t is Not and (m := _match_and(f)) is not None:
-            out = self.join("&", self.emit(m[0]), self.emit(m[1]))
-        elif t is Or and (m := _match_implies(f)) is not None:
-            out = self.join("|", self.neg(self.emit(m[0])), self.emit(m[1]))
+        if t is Believes:
+            out = self.believes(self.emit(f.child))
+        elif t is Cond:
+            out = self.conditional(self.emit(f.antecedent), self.emit(f.consequent))
+        elif t is Not:
+            if (m := _match_iff(f)) is not None:
+                out = self.iff(self.emit(m[0]), self.emit(m[1]))
+            elif (m := _match_and(f)) is not None:
+                out = self.join("&", self.emit(m[0]), self.emit(m[1]))
+            else:
+                out = self.neg(self.emit(f.child))
+        elif t is Or:
+            if (m := _match_implies(f)) is not None:
+                out = self.join("|", self.neg(self.emit(m[0])), self.emit(m[1]))
+            else:
+                out = self.join("|", self.emit(f.left), self.emit(f.right))
+        elif t is Box:
+            out = self.box(self.emit(f.child))
+        elif t is MetaAtom:
+            if f.name not in self.names:
+                raise ValueError(f"metavariable {f.name} in a concrete formula")
+            i = self.names.index(f.name)
+            out = (f"e_{i}", i + 1)
+        elif t is Atom:
+            if f.name not in self.valuation:
+                raise UnvaluedAtomError(f"concrete atom {f.name!r} has no value")
+            out = (str(self.valuation[f.name]), 0)
         else:
-            match f:  # modal nodes first, the most frequent here
-                case Believes(child):
-                    out = self.believes(self.emit(child))
-                case Cond(antecedent, consequent):
-                    out = self.conditional(self.emit(antecedent), self.emit(consequent))
-                case Not(child):
-                    out = self.neg(self.emit(child))
-                case Or(left, right):
-                    out = self.join("|", self.emit(left), self.emit(right))
-                case Box(child):
-                    out = self.box(self.emit(child))
-                case MetaAtom(name, _):
-                    if name not in self.names:
-                        raise ValueError(f"metavariable {name} in a concrete formula")
-                    out = (f"e_{self.names.index(name)}", self.names.index(name) + 1)
-                case Atom(name):
-                    if name not in self.valuation:
-                        raise UnvaluedAtomError(f"concrete atom {name!r} has no value")
-                    out = (str(self.valuation[name]), 0)
-                case _:
-                    raise TypeError(f"not a formula node: {f!r}")
+            raise TypeError(f"not a formula node: {f!r}")
         self.memo[id(f)] = out
         self.held.append(f)
         return out
@@ -368,13 +381,16 @@ class _Codegen:
         lines.append("    bel, cnd = modal_tables(fr)")
         return lines
 
-    def function(self, name: str, result: str) -> Callable[..., object]:
+    def function(self, name: str, result: str,
+                 compiled: dict[str, Callable[..., object]] | None = None) -> Callable[..., object]:
         """The ``prologue`` (``def name(fr)`` and the frame's
         ``modal_tables``), block 0, then one
         loop over the frame's events per metavariable with block i inside
         loop i, then ``return result``. The function is returned without
         the namespace it was executed in, so the two do not form a
-        reference cycle."""
+        reference cycle. ``compiled``, if given, maps sources to their
+        functions: a source found there is not compiled again, and a new
+        one is added."""
         lines = self.prologue(name)
         if self.names:
             lines.append(f"    ev = range({self.top} + 1)")
@@ -389,15 +405,21 @@ class _Codegen:
         # the emission memo is done with; free it before the compile's peak
         self.memo.clear()
         self.held.clear()
-        ns: dict = {"modal_tables": modal_tables}
-        exec("\n".join(lines), ns)
-        fn = ns.pop(name)
-        _LOCAL_NAMES.update(fn.__code__.co_varnames)
+        source = "\n".join(lines)
+        fn = None if compiled is None else compiled.get(source)
+        if fn is None:
+            ns: dict = {"modal_tables": modal_tables}
+            exec(source, ns)
+            fn = ns.pop(name)
+            _LOCAL_NAMES.update(fn.__code__.co_varnames)
+            if compiled is not None:
+                compiled[source] = fn
         return fn
 
 
 def compile_conjunctions(groups: Iterable[Iterable[Formula]], valuation: Mapping[str, int],
-                         n: int) -> Callable[..., tuple[int, ...]]:
+                         n: int, compiled: dict[str, Callable[..., object]] | None = None
+                         ) -> Callable[..., tuple[int, ...]]:
     """Compile groups of formulas to one function Frame -> tuple of masks,
     the i-th being the intersection of the truth sets of group i's
     formulas (the universe for an empty group).
@@ -406,8 +428,16 @@ def compile_conjunctions(groups: Iterable[Iterable[Formula]], valuation: Mapping
     and the universe become constants and all the groups one
     straight-line function, in which a modal subformula shared by
     several formulas, or with the same value under this valuation, is
-    looked up once. Agrees with truth_set on every frame with n states
-    (a tested property)."""
+    looked up once. Emission memoizes nodes by identity, so groups whose
+    equal subtrees are one object (``km_formula_instances``' tables) emit
+    each of them once. Agrees with truth_set on every frame with n states
+    (a tested property).
+
+    Callers that compile several groups can pass one ``compiled`` dict of
+    sources to all the calls: a call whose source was compiled before
+    returns that same function. Under every separating one-atom valuation
+    the postulate tables' Boolean parts fold to the same events, so the
+    bridge's two valuations get one function."""
     full = (1 << n) - 1
     for name, event in valuation.items():
         if event & ~full:
@@ -415,7 +445,7 @@ def compile_conjunctions(groups: Iterable[Iterable[Formula]], valuation: Mapping
     cg = _Codegen((), valuation, full)
     masks = [_conjoin(list(dict.fromkeys(cg.emit(f)[0] for f in group))) or str(full)
              for group in groups]
-    return cg.function("_run", "(" + "".join(f"{mask}, " for mask in masks) + ")")
+    return cg.function("_run", "(" + "".join(f"{mask}, " for mask in masks) + ")", compiled)
 
 
 def _conjoin(terms: list[str]) -> str:
@@ -521,6 +551,44 @@ def _characteristic(n: int, atoms: tuple[tuple[str, int], ...], event: int) -> F
     return f
 
 
+# The tag of each compound node kind in ``_shared``'s keys.
+_TAGS = {Not: 0, Or: 1, Believes: 2, Cond: 3, Box: 4}
+
+
+def _shared(f: Formula, binding: Mapping[str, Formula], nodes: dict) -> Formula:
+    """``f`` with ``binding`` substituted for its metavariables, every node
+    taken from ``nodes``: a subtree equal in structure to one built before
+    is that same object. The binding's values must come from ``nodes``
+    already. A compound node's key is one int made of its children's
+    identities (each below 2^64) and its kind's tag, far smaller than a
+    tuple of them, and sound while ``nodes`` lives, since each node it
+    holds keeps its children alive; an atom's key is its name."""
+    t = type(f)
+    if t is Not or t is Believes or t is Box:
+        child = _shared(f.child, binding, nodes)
+        key = id(child) << 3 | _TAGS[t]
+        node = nodes.get(key)
+        if node is None:
+            node = nodes[key] = t(child)
+        return node
+    if t is Or:
+        left, right = _shared(f.left, binding, nodes), _shared(f.right, binding, nodes)
+    elif t is Cond:
+        left = _shared(f.antecedent, binding, nodes)
+        right = _shared(f.consequent, binding, nodes)
+    elif t is MetaAtom:
+        return binding[f.name]
+    elif t is Atom:
+        return nodes.setdefault(f.name, f)
+    else:
+        raise TypeError(f"not a formula node: {f!r}")
+    key = (id(left) << 64 | id(right)) << 3 | _TAGS[t]
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = t(left, right)
+    return node
+
+
 def km_formula_instances(n: int, valuation: Mapping[str, int]) -> dict[str, list[Formula]]:
     """Formula-level restatements of the update postulates.
 
@@ -529,26 +597,48 @@ def km_formula_instances(n: int, valuation: Mapping[str, int]) -> dict[str, list
     postulate holds at state s in the formula sense iff every listed
     formula is true at s. Quantifier ranges mirror the event-level
     checks, so on any frame with n states the two layers must agree.
+
+    The table equals one built by substituting into each instance apart,
+    but every subtree equal in structure to another, within an instance
+    or across instances and postulates, is the same object (``_shared``):
+    1,402 distinct nodes at two states where instances built apart have
+    3,649. So the identity memos of ``_Codegen.emit`` and ``denotation``
+    meet each subtree once, and the five-state table takes less time and
+    memory to build than separate trees do.
     """
     from .schema import REGISTRY  # schema imports this module
 
     atoms = tuple(sorted(valuation.items()))
-    k = {e: _characteristic(n, atoms, e) for e in range(1 << n)}
+    nodes: dict = {}
+    k = {e: _shared(_characteristic(n, atoms, e), {}, nodes) for e in range(1 << n)}
     ne = range(1, 1 << n)
-    return {a: [_substitute(REGISTRY[item].conclusion, dict(zip(("PHI", "PSI", "CHI"), b)))
-                for b in bindings(k, ne)]
-            for a, (item, bindings) in _KM_POSTULATES.items()}
+    # a binding value not drawn from k, such as K_diamond_4's ~~PHI, is
+    # taken into ``nodes`` before it is substituted
+    interned = {id(f) for f in k.values()}
+    table = {}
+    for a, (item, bindings) in _KM_POSTULATES.items():
+        template = REGISTRY[item].conclusion
+        table[a] = [_shared(template, {name: f if id(f) in interned else _shared(f, {}, nodes)
+                                       for name, f in zip(("PHI", "PSI", "CHI"), b)}, nodes)
+                    for b in bindings(k, ne)]
+    return table
 
 
 def check_km_axiom_via_formulas(m: Model, s: int, a: str,
                                 instances: dict[str, list[Formula]]) -> bool:
     """The formula-level twin of check_km_axiom: evaluate the postulate's
-    characteristic-formula ``instances`` at s through the truth definition.
+    characteristic-formula ``instances`` at s through the truth definition,
+    with one ``denotation`` memo for all of them, so a subformula the
+    instances share is evaluated once.
 
     ``instances`` is the ``km_formula_instances`` table for the model's
     size and valuation: build it once for all the models that share
     both."""
-    return all(holds_at(m, s, f) for f in instances[a])
+    fr = m.frame
+    if not 0 <= s < fr.n:
+        raise ValueError(f"state {s} out of range")
+    env, memo = m.valuation_map(), {}
+    return all(denotation(fr, f, env, memo) >> s & 1 for f in instances[a])
 
 
 # ---------------------------------------------------------------------------

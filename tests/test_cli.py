@@ -2,6 +2,7 @@
 round-trips."""
 
 import functools
+import gc
 import itertools
 import json
 import random
@@ -377,15 +378,85 @@ def _record(fr, axiom, state):
     return {"frame": frame_to_json(fr), "axiom": axiom, "state": state}
 
 
-def test_bridge_compiles_one_function_per_valuation_on_every_call(monkeypatch):
+def _spy_exec(monkeypatch) -> list[str]:
+    """The sources the model module compiles from now on."""
     sources = []
     monkeypatch.setattr(model, "exec", lambda src, ns: (sources.append(src), exec(src, ns)),
                         raising=False)
+    return sources
+
+
+def test_bridge_compiles_each_distinct_source_once_on_every_call(monkeypatch):
+    # both separating valuations emit the same source, so each call
+    # compiles one function, and the second call compiles it again: no
+    # function carries over from one call to the next
+    sources = _spy_exec(monkeypatch)
     for calls in (1, 2):
         report = _bridge(monkeypatch)
-        assert len(sources) == 2 * calls
+        assert len(sources) == calls
         assert report == {"ok": True, "checked": 3 * 9 * 2 * 2, "spot_checks": 9,
                           "disagreements": []}
+    assert sources[0] == sources[1]
+
+
+def test_bridge_leaves_no_cyclic_garbage(monkeypatch):
+    # the instance tables are interned through module-level helpers, not a
+    # recursive closure, so a call leaves nothing for the collector
+    gc.collect()
+    gc.disable()
+    try:
+        report = _bridge(monkeypatch)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert report["ok"]
+
+
+def _reference_bridge(frames) -> dict:
+    """The bridge as a plain per-frame loop: every (postulate, state,
+    valuation) compared on its own, with its own event-level call."""
+    tables = [cli.km_formula_instances(2, valuation) for valuation in cli._SEPARATING]
+    runs = [model.compile_conjunctions([table[a] for a in model.KM_AXIOM_IDS], valuation, 2)
+            for table, valuation in zip(tables, cli._SEPARATING)]
+    checked, disagreements, spot_checks = 0, [], 0
+    for index, fr in enumerate(frames):
+        masks = [run(fr) for run in runs]
+        for i, a in enumerate(model.KM_AXIOM_IDS):
+            for s in (0, 1):
+                event_level = model.check_km_axiom(fr, s, a)[0]
+                for mask in masks:
+                    checked += 1
+                    if (mask[i] >> s & 1) != event_level and len(disagreements) < 10:
+                        disagreements.append(_record(fr, a, s))
+        if index % 1024 == 0:
+            m = make_model(fr, cli._SEPARATING[0])
+            for a in model.KM_AXIOM_IDS:
+                spot_checks += 1
+                if model.check_km_axiom_via_formulas(m, 0, a, tables[0]) != (
+                        model.check_km_axiom(fr, 0, a)[0]):
+                    disagreements.append({**_record(fr, a, 0),
+                                          "path": "check_km_axiom_via_formulas"})
+    return {"ok": not disagreements, "checked": checked,
+            "spot_checks": spot_checks, "disagreements": disagreements}
+
+
+def test_bridge_decides_each_distinct_row_once(monkeypatch):
+    frames = list(itertools.islice(cli.enumerate_frames(2), 1_100))
+    calls = []
+    real = cli.check_km_axiom
+
+    def counted(fr, s, a):
+        calls.append((fr.belief[s], fr.rows[s]))
+        return real(fr, s, a)
+
+    monkeypatch.setattr(cli, "check_km_axiom", counted)
+    report = _bridge(monkeypatch, frames)
+    monkeypatch.undo()
+    pairs = {(fr.belief[s], fr.rows[s]) for fr in frames for s in (0, 1)}
+    assert len(calls) <= 9 * len(pairs) + report["spot_checks"]
+    assert set(calls) == pairs
+    assert report == _reference_bridge(frames)
+    assert report["checked"] == 1_100 * 9 * 2 * 2 and report["spot_checks"] == 2 * 9
 
 
 def test_models_are_built_only_where_a_valuation_is_read(monkeypatch):
@@ -443,6 +514,21 @@ def test_bridge_reports_a_false_formula_instance(monkeypatch):
         _record(LOPSIDED, "K_diamond_1", 0), _record(LOPSIDED, "K_diamond_1", 1)]
     assert report["checked"] == 3 * 9 * 2 * 2 and report["spot_checks"] == 9
     assert report["ok"] is False
+
+
+def test_bridge_compiles_both_sources_when_they_differ(monkeypatch):
+    real = cli.km_formula_instances
+
+    def swapped(n, valuation):
+        table = real(n, valuation)
+        if valuation == {"p": 0b10}:
+            table["K_diamond_1"][1] = And(Atom("p"), Not(Atom("p")))
+        return table
+
+    monkeypatch.setattr(cli, "km_formula_instances", swapped)
+    sources = _spy_exec(monkeypatch)
+    assert _bridge(monkeypatch)["ok"] is False
+    assert len(sources) == 2 and sources[0] != sources[1]
 
 
 def test_bridge_instantiates_the_registry_items(monkeypatch):

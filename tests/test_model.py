@@ -9,9 +9,10 @@ from dataclasses import dataclass
 import pytest
 
 from artifact import model
-from artifact.formula import And, Atom, Believes, Box, Cond, Iff, Implies, Not, Or, parse
+from artifact.formula import (And, Atom, Believes, Box, Cond, Iff, Implies, Not, Or, _substitute,
+                              parse)
 from artifact.frame import Frame, FrameFormatError, check_property, enumerate_frames, sample_frame
-from artifact.schema import KM_IDS
+from artifact.schema import KM_IDS, REGISTRY
 from artifact.model import (
     KM_AXIOM_IDS,
     NonSeparatingValuationError,
@@ -391,6 +392,40 @@ def test_postulate_table_restates_each_km_item_once():
     for val in ({"p": 0b01}, {"p": 0b10}):
         assert sum(map(len, km_formula_instances(2, val).values())) == 162
     assert sum(map(len, km_formula_instances(3, {"p": 0b011, "q": 0b101}).values())) == 1510
+
+
+def _substituted_table(n: int, valuation: dict) -> dict:
+    """The postulate table built one instance at a time, each a new tree."""
+    atoms = tuple(sorted(valuation.items()))
+    k = {e: model._characteristic(n, atoms, e) for e in range(1 << n)}
+    return {a: [_substitute(REGISTRY[item].conclusion, dict(zip(("PHI", "PSI", "CHI"), b)))
+                for b in bindings(k, range(1, 1 << n))]
+            for a, (item, bindings) in model._KM_POSTULATES.items()}
+
+
+def _nodes(table: dict) -> dict:
+    """Every node of the table's formulas, by identity."""
+    seen = {}
+    stack = [f for formulas in table.values() for f in formulas]
+    while stack:
+        f = stack.pop()
+        if id(f) not in seen:
+            seen[id(f)] = f
+            stack.extend(getattr(f, slot) for slot in type(f).__slots__
+                         if slot in ("child", "left", "right", "antecedent", "consequent"))
+    return seen
+
+
+@pytest.mark.parametrize("n, valuation, distinct", [
+    (2, {"p": 0b01}, 1_402),
+    (3, {"p": 0b011, "q": 0b101}, 12_739),
+])
+def test_instance_tables_share_every_equal_subtree(n, valuation, distinct):
+    table = km_formula_instances(n, valuation)
+    assert table == _substituted_table(n, valuation)
+    nodes = _nodes(table)
+    assert len(nodes) == len(set(nodes.values()))
+    assert len(nodes) == distinct
 
 
 # -- serialization -----------------------------------------------------------
